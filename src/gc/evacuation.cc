@@ -299,8 +299,9 @@ char* EvacuationTask::AllocShared(int space, size_t bytes) {
 }
 
 void EvacuationTask::Inject(Object* obj) {
-  // Count before publishing: a worker that pops the item calls FinishOne(),
-  // and the pool's outstanding counter must never dip below the number of
+  // Count before publishing (eagerly: a mutator holds no termination
+  // credit): a worker that pops the item calls FinishOne(w), and the pool's
+  // outstanding counter must never dip below the number of
   // published-but-unfinished items or the termination check fires early.
   if (pool_ != nullptr) {
     pool_->AddOutstanding(1);

@@ -118,7 +118,7 @@ class EvacuationTask {
   // referent scan). Workers poll this alongside the stealing pool; the final
   // pause drains the leftovers injected after the workers exited. The
   // injection was pre-counted in the pool's outstanding counter (when one is
-  // attached), so a worker that processes the item must still FinishOne().
+  // attached), so a worker that processes the item must still FinishOne(w).
   bool TakeInjected(Object** out);
 
   // Frees empty shared to-space buffers (final pause, after all healing).

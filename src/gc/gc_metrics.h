@@ -115,7 +115,8 @@ class GcMetrics {
 
   // Per-phase thread-CPU-time totals, indexed by GcPhase (gc_watchdog.h).
   // WatchdogPhaseScope feeds these with CLOCK_THREAD_CPUTIME_ID deltas from
-  // whichever thread brackets the phase, for every collector — the
+  // whichever thread brackets the phase plus the worker bodies it dispatches
+  // (WorkerCpuSink), for every collector — the
   // generalization of evac_cpu/remap_cpu above (which stay, as the
   // worker-summed evacuation counters the pause bench gates on). Sized with
   // slack so gc_watchdog.h need not be included here.

@@ -128,7 +128,7 @@ void Marker::MarkFromRoots(SafepointManager* safepoints, WorkerPool* workers,
       for (size_t i = begin; i < end; i++) {
         visit(roots[i]->load(std::memory_order_relaxed));
       }
-      pool.FinishOne();
+      pool.FinishOne(w);
     }
     Object* obj = nullptr;
     bool bailed = false;
@@ -137,7 +137,7 @@ void Marker::MarkFromRoots(SafepointManager* safepoints, WorkerPool* workers,
         heap_->ForEachRefSlot(obj, [&](std::atomic<Object*>* slot) {
           visit(slot->load(std::memory_order_relaxed));
         });
-        pool.FinishOne();
+        pool.FinishOne(w);
         if ((++steps & 63) == 0) {
           workers->Heartbeat(w);
           bailed = cancel != nullptr && cancel->IsCancelled();

@@ -507,9 +507,10 @@ void RegionalCollector::DoYoungOrMixed(MutatorContext* ctx) {
   // claimed from a shared cursor; every object needing a referent scan —
   // to-space copies and live source-region objects alike — becomes an item on
   // the claiming worker's Chase-Lev deque, stealable by idle workers. The
-  // pool's outstanding counter (scan units pre-added, items counted at Push)
-  // provides termination: a worker whose queues all look empty spins until
-  // the counter drains, since a straggler may still publish work.
+  // pool's outstanding counter (scan units pre-added, items counted at Push,
+  // finished units flushed in batches from per-worker credit) provides
+  // termination: a worker whose queues all look empty flushes its credit and
+  // spins until the counter drains, since a straggler may still publish work.
   CancellationToken evac_cancel;
   EvacuationTask task(heap_, &config_, profiler_, survivor_tracking_on, &evac_cancel);
   WorkStealingPool<Object*> pool(n);
@@ -555,7 +556,7 @@ void RegionalCollector::DoYoungOrMixed(MutatorContext* ctx) {
             pool.Push(w, obj);
           });
         }
-        pool.FinishOne();
+        pool.FinishOne(w);
       }
       // Drain: keep scanning until the whole phase is done. No cancellation
       // bail-out here — once cancelled, EvacuateOrForward self-forwards
@@ -566,7 +567,7 @@ void RegionalCollector::DoYoungOrMixed(MutatorContext* ctx) {
       for (;;) {
         if (pool.TryGet(w, &obj)) {
           ew.ScanObject(obj);
-          pool.FinishOne();
+          pool.FinishOne(w);
           if ((++steps & 63) == 0) {
             workers_->Heartbeat(w);
           }
@@ -805,7 +806,7 @@ void RegionalCollector::ConcurrentDriver() {
           // region concurrently reads only size_bytes and marked objects.
           ScrubDeadObjects(c.scrub_list[u - src_units], bitmap_);
         }
-        c.pool.FinishOne();
+        c.pool.FinishOne(w);
       }
       // Drain: items from the deques plus objects injected by mutator heals
       // (pre-counted in the outstanding counter). No cancellation bail-out —
@@ -816,7 +817,7 @@ void RegionalCollector::ConcurrentDriver() {
       for (;;) {
         if (c.pool.TryGet(w, &obj) || c.task.TakeInjected(&obj)) {
           ew.ScanObject(obj);
-          c.pool.FinishOne();
+          c.pool.FinishOne(w);
           if ((++steps & 63) == 0) {
             workers_->Heartbeat(w);
           }

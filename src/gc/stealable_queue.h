@@ -10,13 +10,23 @@
 // with stealing, the objects it discovers are picked up by idle workers.
 //
 // WorkStealingPool<T> bundles one deque per GC worker with the shared
-// outstanding-work counter used for termination detection: the counter is
-// incremented for every queued unit (scan units up front, items at Push) and
-// decremented when a unit finishes, so "outstanding == 0" means globally done
-// even while items are in flight between queues. Workers that find all queues
-// empty spin on the counter (polling heartbeats / cancellation at the call
-// site) rather than exiting early and dropping work a straggler might still
-// publish.
+// outstanding-work counter used for termination detection: the counter
+// covers every queued unit (scan units up front, items at Push), so
+// "outstanding == 0" means globally done even while items are in flight
+// between queues. Workers that find all queues empty spin on the counter
+// (polling heartbeats / cancellation at the call site) rather than exiting
+// early and dropping work a straggler might still publish.
+//
+// Finishing a unit does not touch the shared counter: FinishOne(w) adds one
+// to a credit private to worker w, Push(w) spends that credit before it
+// increments the counter, and the credit is subtracted from the counter in
+// one batch once it reaches kCreditBatch and always before TryGet(w) reports
+// empty. Invariant: counter = true outstanding work + the workers' unflushed
+// credit, so the counter is never below the true outstanding work and Done()
+// can never fire early; since every worker flushes before it can start
+// waiting on Done(), the credit cannot hold termination back either. A
+// worker that keeps scanning costs the counter one RMW per kCreditBatch
+// units instead of two per object.
 //
 // Item type T must be trivially copyable and lock-free as std::atomic<T>
 // (the GC uses Object*).
@@ -171,11 +181,16 @@ class StealableTaskQueue {
   std::vector<std::unique_ptr<Buffer>> retired_;  // owner-only (Grow)
 };
 
-// One deque per worker plus the shared termination counter.
+// One deque per worker plus the shared termination counter and the
+// per-worker termination credit.
 template <typename T>
 class WorkStealingPool {
  public:
-  explicit WorkStealingPool(uint32_t num_workers) : queues_(num_workers) {
+  // Finished units a worker may hold back from the shared counter.
+  static constexpr int64_t kCreditBatch = 64;
+
+  explicit WorkStealingPool(uint32_t num_workers)
+      : queues_(num_workers), credit_(num_workers) {
     for (auto& q : queues_) {
       q = std::make_unique<StealableTaskQueue<T>>();
     }
@@ -183,27 +198,42 @@ class WorkStealingPool {
 
   uint32_t size() const { return static_cast<uint32_t>(queues_.size()); }
 
-  // Registers `n` units of work completed outside the queues (e.g. scan
-  // units claimed via a shared cursor). Call before workers start.
+  // Registers `n` units of work counted outside Push: scan units claimed via
+  // a shared cursor (before workers start), or an item injected by a thread
+  // that is not a worker (before it is published).
   void AddOutstanding(int64_t n) {
     outstanding_.fetch_add(n, std::memory_order_relaxed);
   }
 
-  // Queues an item on worker w's deque. Owner thread of w only.
+  // Queues an item on worker w's deque. Only the thread running item id w.
   void Push(uint32_t w, T value) {
-    outstanding_.fetch_add(1, std::memory_order_relaxed);
+    int64_t& credit = credit_[w].units;
+    if (credit > 0) {
+      credit--;  // cancels one finished unit the counter still includes
+    } else {
+      outstanding_.fetch_add(1, std::memory_order_relaxed);
+    }
     queues_[w]->Push(value);
   }
 
-  // Marks one unit (queued item or externally-counted scan unit) finished.
-  void FinishOne() { outstanding_.fetch_sub(1, std::memory_order_acq_rel); }
+  // Marks one unit (queued item or externally-counted scan unit) finished by
+  // worker w. Only the thread running item id w. The credit is indexed by
+  // item id, not by thread, so an item the WorkerPool requeues after its
+  // worker died inherits it.
+  void FinishOne(uint32_t w) {
+    if (++credit_[w].units >= kCreditBatch) {
+      Flush(w);
+    }
+  }
 
-  // All queued and externally-counted work done?
+  // All queued and externally-counted work done? Exact once every worker
+  // has flushed, which each does before TryGet reports empty.
   bool Done() const { return outstanding_.load(std::memory_order_acquire) == 0; }
 
   // Pops from w's own deque, then tries to steal round-robin from the
-  // others. Returns false when everything looked empty (caller checks
-  // Done() and spins otherwise — a straggler may still publish work).
+  // others. Returns false when everything looked empty, after flushing w's
+  // credit (caller checks Done() and spins otherwise — a straggler may still
+  // publish work).
   bool TryGet(uint32_t w, T* out) {
     if (queues_[w]->Pop(out)) {
       return true;
@@ -214,13 +244,27 @@ class WorkStealingPool {
         return true;
       }
     }
+    Flush(w);
     return false;
   }
 
   StealableTaskQueue<T>& queue(uint32_t w) { return *queues_[w]; }
 
  private:
+  struct alignas(64) Credit {
+    int64_t units = 0;
+  };
+
+  void Flush(uint32_t w) {
+    int64_t& credit = credit_[w].units;
+    if (credit > 0) {
+      outstanding_.fetch_sub(credit, std::memory_order_acq_rel);
+      credit = 0;
+    }
+  }
+
   std::vector<std::unique_ptr<StealableTaskQueue<T>>> queues_;
+  std::vector<Credit> credit_;  // indexed by item id; one cache line each
   alignas(64) std::atomic<int64_t> outstanding_{0};
 };
 

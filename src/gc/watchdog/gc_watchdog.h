@@ -142,9 +142,11 @@ class GcWatchdog {
 
 // Null-safe RAII phase bracket: the watchdog half is a no-op when `watchdog`
 // is null (disabled). When `metrics` is given, the scope also charges the
-// bracketing thread's CPU time (CLOCK_THREAD_CPUTIME_ID delta) to the phase's
-// GcMetrics::PhaseCpuNs slot — independent of whether the watchdog exists, so
-// per-phase CPU attribution works with ROLP_WATCHDOG=0 too.
+// phase's CPU time to its GcMetrics::PhaseCpuNs slot: the bracketing thread's
+// own CLOCK_THREAD_CPUTIME_ID delta plus the worker-thread CPU of every
+// WorkerPool dispatch made inside the scope (WorkerCpuSink). Independent of
+// whether the watchdog exists, so per-phase CPU attribution works with
+// ROLP_WATCHDOG=0 too.
 class WatchdogPhaseScope {
  public:
   WatchdogPhaseScope(GcWatchdog* watchdog, GcPhase phase, CancellationToken* token,
@@ -159,7 +161,8 @@ class WatchdogPhaseScope {
   }
   ~WatchdogPhaseScope() {
     if (metrics_ != nullptr) {
-      metrics_->AddPhaseCpuNs(static_cast<size_t>(phase_), ThreadCpuNs() - cpu_start_ns_);
+      metrics_->AddPhaseCpuNs(static_cast<size_t>(phase_),
+                              ThreadCpuNs() - cpu_start_ns_ + workers_cpu_.ns());
     }
     if (watchdog_ != nullptr) {
       watchdog_->EndPhase();
@@ -174,6 +177,7 @@ class WatchdogPhaseScope {
   GcMetrics* metrics_;
   GcPhase phase_;
   uint64_t cpu_start_ns_ = 0;
+  WorkerCpuSink workers_cpu_;
 };
 
 }  // namespace rolp

@@ -4,6 +4,7 @@
 #include <thread>
 
 #include "src/util/check.h"
+#include "src/util/clock.h"
 #include "src/util/fault_injection.h"
 #include "src/util/log.h"
 
@@ -143,6 +144,7 @@ void WorkerPool::RunTask(const std::function<void(uint32_t)>& task) {
   s.task = &task;
   s.completed = 0;
   s.total_items = n;
+  s.items_cpu_ns = 0;
   s.pending.clear();
   for (uint32_t w = n; w > 0; w--) {
     s.pending.push_back(w - 1);  // pop_back claims ascending ids
@@ -183,6 +185,9 @@ void WorkerPool::RunTask(const std::function<void(uint32_t)>& task) {
     }
   }
   s.task = nullptr;
+  if (WorkerCpuSink::current_ != nullptr) {
+    WorkerCpuSink::current_->ns_ += s.items_cpu_ns;
+  }
 }
 
 void WorkerPool::ParallelFor(size_t count, size_t chunk,
@@ -249,11 +254,14 @@ void WorkerPool::WorkerLoop(std::shared_ptr<PoolState> state, uint32_t thread_in
       s.cv_exit.notify_all();
       return;
     }
+    uint64_t cpu0 = ThreadCpuNs();
     (*task)(item);
+    uint64_t cpu_ns = ThreadCpuNs() - cpu0;
     {
       std::lock_guard<std::mutex> guard(s.mu);
       s.current_item[thread_index] = -1;
       s.completed++;
+      s.items_cpu_ns += cpu_ns;
     }
     s.cv_done.notify_all();
   }

@@ -39,6 +39,34 @@ struct WorkerActivity {
   uint64_t heartbeat = 0;     // last published heartbeat for current_item
 };
 
+// Books the CPU time pool threads spend in item bodies to the code that
+// dispatched them. While a WorkerCpuSink is alive on a thread, every RunTask
+// (and so every ParallelFor) that thread dispatches adds the summed
+// CLOCK_THREAD_CPUTIME_ID deltas of its item bodies to the innermost sink.
+// Items the dispatching thread runs inline are not counted: they are already
+// part of that thread's own CPU time. A sink's total also counts toward the
+// sink it is nested in, matching how thread-CPU deltas nest.
+class WorkerCpuSink {
+ public:
+  WorkerCpuSink() : outer_(current_) { current_ = this; }
+  ~WorkerCpuSink() {
+    current_ = outer_;
+    if (outer_ != nullptr) {
+      outer_->ns_ += ns_;
+    }
+  }
+  WorkerCpuSink(const WorkerCpuSink&) = delete;
+  WorkerCpuSink& operator=(const WorkerCpuSink&) = delete;
+
+  uint64_t ns() const { return ns_; }
+
+ private:
+  friend class WorkerPool;
+  static inline thread_local WorkerCpuSink* current_ = nullptr;
+  WorkerCpuSink* outer_;
+  uint64_t ns_ = 0;
+};
+
 class WorkerPool {
  public:
   explicit WorkerPool(uint32_t num_workers);
@@ -117,6 +145,7 @@ class WorkerPool {
     std::vector<uint32_t> pending;     // unclaimed item ids
     uint32_t completed = 0;
     uint32_t total_items = 0;
+    uint64_t items_cpu_ns = 0;         // worker-thread CPU of this dispatch
     bool shutdown = false;
     std::vector<bool> alive;           // per worker thread
     std::vector<bool> exited;          // per worker thread (left WorkerLoop)

@@ -1,5 +1,6 @@
 #include "src/heap/class_registry.h"
 
+#include <bit>
 #include <mutex>
 
 #include "src/util/check.h"
@@ -42,20 +43,18 @@ ClassId ClassRegistry::RegisterDataArray(const std::string& name) {
 
 ClassId ClassRegistry::RegisterLocked(ClassInfo info) {
   std::lock_guard<SpinLock> guard(lock_);
-  info.id = static_cast<ClassId>(classes_.size());
-  classes_.push_back(std::move(info));
-  return classes_.back().id;
-}
-
-const ClassInfo& ClassRegistry::Get(ClassId id) const {
-  std::lock_guard<SpinLock> guard(lock_);
-  ROLP_CHECK(id < classes_.size());
-  return classes_[id];
-}
-
-size_t ClassRegistry::NumClasses() const {
-  std::lock_guard<SpinLock> guard(lock_);
-  return classes_.size();
+  uint32_t id = count_.load(std::memory_order_relaxed);
+  ROLP_CHECK(id < kFreeBlockClassId);
+  size_t j = size_t{id} + kFirstSegment;
+  if (std::has_single_bit(j)) {
+    // First slot of segment k: it holds j = kFirstSegment << k classes.
+    segments_[std::bit_width(j) - 1 - kFirstSegmentBits] = std::make_unique<ClassInfo[]>(j);
+  }
+  info.id = id;
+  Slot(id) = std::move(info);
+  // Publish: the slot (and its segment pointer) are written before the count.
+  count_.store(id + 1, std::memory_order_release);
+  return id;
 }
 
 }  // namespace rolp

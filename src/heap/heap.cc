@@ -82,9 +82,10 @@ Object* Heap::InitializeObject(char* mem, ClassId cls, size_t total_bytes, uint6
     obj->SetArrayLength(array_length);
   }
   // Allocated-bytes accounting is the caller's job (RuntimeThread batches it
-  // per thread and drains at safepoints/detach — see AddAllocatedBytes):
-  // keeping this function accounting-free keeps the allocation fast lane free
-  // of shared-line traffic.
+  // per thread and drains at safepoints/detach — see AddAllocatedBytes), and
+  // the class lookup above is a lock-free read of a line that only class
+  // registration writes, so this part of the allocation fast lane writes no
+  // shared cache line.
   return obj;
 }
 

@@ -163,7 +163,7 @@ TEST(WorkStealingPoolTest, TerminationCountsInFlightExpansion) {
             pool.Push(w, v - 1);
             pool.Push(w, v - 1);
           }
-          pool.FinishOne();
+          pool.FinishOne(w);
         } else if (pool.Done()) {
           break;
         } else {
@@ -186,16 +186,169 @@ TEST(WorkStealingPoolTest, ExternalUnitsBlockTermination) {
   pool.AddOutstanding(3);
   EXPECT_FALSE(pool.Done());
   pool.Push(0, 42);
-  pool.FinishOne();  // one external unit
-  pool.FinishOne();  // second external unit
-  EXPECT_FALSE(pool.Done());
+  pool.FinishOne(0);  // one external unit
+  pool.FinishOne(0);  // second external unit
   int v = -1;
   EXPECT_TRUE(pool.TryGet(1, &v));  // worker 1 steals worker 0's item
   EXPECT_EQ(v, 42);
-  pool.FinishOne();  // the queued item
+  EXPECT_FALSE(pool.TryGet(0, &v));  // worker 0 goes idle: flushes its credit
   EXPECT_FALSE(pool.Done());
-  pool.FinishOne();  // last external unit
+  pool.FinishOne(1);  // the queued item
+  EXPECT_FALSE(pool.TryGet(1, &v));
+  EXPECT_FALSE(pool.Done());
+  pool.FinishOne(0);  // last external unit
+  EXPECT_FALSE(pool.TryGet(0, &v));
   EXPECT_TRUE(pool.Done());
+}
+
+// Finished units are held back as per-worker credit and reach the shared
+// counter in one batch of kCreditBatch, without any TryGet.
+TEST(WorkStealingPoolTest, CreditFlushesAtBatchSize) {
+  constexpr int64_t kBatch = WorkStealingPool<int>::kCreditBatch;
+  WorkStealingPool<int> pool(2);
+  pool.AddOutstanding(kBatch);
+  for (int64_t i = 0; i < kBatch - 1; i++) {
+    pool.FinishOne(1);
+  }
+  EXPECT_FALSE(pool.Done());
+  pool.FinishOne(1);
+  EXPECT_TRUE(pool.Done());
+}
+
+// Push spends the pushing worker's credit before it touches the shared
+// counter: a worker that finishes one item and pushes one leaves the counter
+// where it was, and the counter still covers the pushed item.
+TEST(WorkStealingPoolTest, PushSpendsCreditBeforeCounter) {
+  WorkStealingPool<int> pool(2);
+  pool.AddOutstanding(1);
+  pool.FinishOne(0);    // credit 1, counter 1
+  pool.Push(0, 7);      // spends the credit: counter still 1, true work 1
+  int v = -1;
+  EXPECT_TRUE(pool.TryGet(1, &v));
+  EXPECT_FALSE(pool.TryGet(0, &v));  // worker 0 has nothing left to flush
+  EXPECT_FALSE(pool.Done());         // the stolen item is still in flight
+  pool.FinishOne(1);
+  EXPECT_FALSE(pool.TryGet(1, &v));
+  EXPECT_TRUE(pool.Done());
+}
+
+// A worker that pushes without credit must count the item in the shared
+// counter: a thief that finishes and flushes the stolen item must not drain
+// the counter while the pusher's own scan unit is still open.
+TEST(WorkStealingPoolTest, PushesBeyondCreditReachTheCounter) {
+  WorkStealingPool<int> pool(2);
+  pool.AddOutstanding(1);  // one scan unit, claimed by worker 0
+  pool.Push(0, 1);         // worker 0 publishes an item mid-unit
+  int v = -1;
+  ASSERT_TRUE(pool.TryGet(1, &v));  // worker 1 steals it,
+  pool.FinishOne(1);                // finishes it,
+  EXPECT_FALSE(pool.TryGet(1, &v));  // and goes idle: flushes
+  EXPECT_FALSE(pool.Done());         // worker 0's unit is still open
+  pool.FinishOne(0);
+  EXPECT_FALSE(pool.TryGet(0, &v));
+  EXPECT_TRUE(pool.Done());
+}
+
+// Fan-out tree on 4 workers: node i spawns nodes 2i+1 and 2i+2 while they
+// exist, so work migrates between queues while others drain. Every node is
+// processed exactly once, and no worker observes Done() before the last node
+// finished.
+TEST(WorkStealingPoolTest, FanOutTreeTerminatesOnlyAfterLastItem) {
+  constexpr uint32_t kWorkers = 4;
+  constexpr int kNodes = 20000;
+  WorkStealingPool<int> pool(kWorkers);
+  std::vector<std::atomic<int>> claims(kNodes);
+  std::atomic<int> finished{0};
+  std::atomic<int> early_done{0};
+  pool.Push(0, 0);  // the root, published before any worker starts
+  EXPECT_FALSE(pool.Done());
+
+  std::vector<std::thread> threads;
+  for (uint32_t w = 0; w < kWorkers; w++) {
+    threads.emplace_back([&, w] {
+      int v = -1;
+      for (;;) {
+        if (pool.TryGet(w, &v)) {
+          claims[v].fetch_add(1, std::memory_order_relaxed);
+          for (int child = 2 * v + 1; child <= 2 * v + 2 && child < kNodes; child++) {
+            pool.Push(w, child);
+          }
+          finished.fetch_add(1, std::memory_order_relaxed);
+          pool.FinishOne(w);
+        } else if (pool.Done()) {
+          if (finished.load(std::memory_order_relaxed) != kNodes) {
+            early_done.fetch_add(1, std::memory_order_relaxed);
+          }
+          break;
+        } else {
+          std::this_thread::yield();
+        }
+      }
+    });
+  }
+  for (auto& th : threads) {
+    th.join();
+  }
+  EXPECT_EQ(early_done.load(), 0);
+  EXPECT_EQ(finished.load(), kNodes);
+  for (int i = 0; i < kNodes; i++) {
+    ASSERT_EQ(claims[i].load(std::memory_order_relaxed), 1) << "node " << i;
+  }
+  EXPECT_TRUE(pool.Done());
+}
+
+// One worker finishes work but holds the credit unflushed (it never went
+// idle) while the other three find every queue empty: none of them may
+// terminate until that worker flushes.
+TEST(WorkStealingPoolTest, UnflushedCreditHoldsOffTermination) {
+  constexpr uint32_t kWorkers = 4;
+  constexpr int kItems = 10;  // below kCreditBatch: no automatic flush
+  static_assert(kItems < WorkStealingPool<int>::kCreditBatch);
+  constexpr int kPollsEach = 2000;
+  WorkStealingPool<int> pool(kWorkers);
+  // Worker 0 (this thread) runs its items and keeps the credit.
+  for (int i = 0; i < kItems; i++) {
+    pool.Push(0, i);
+  }
+  int v = -1;
+  for (int i = 0; i < kItems; i++) {
+    ASSERT_TRUE(pool.TryGet(0, &v));
+    pool.FinishOne(0);
+  }
+
+  std::atomic<int> idle_polls[kWorkers] = {};
+  std::atomic<int> terminated{0};
+  std::vector<std::thread> idlers;
+  for (uint32_t w = 1; w < kWorkers; w++) {
+    idlers.emplace_back([&, w] {
+      int item = -1;
+      for (;;) {
+        EXPECT_FALSE(pool.TryGet(w, &item));
+        if (pool.Done()) {
+          terminated.fetch_add(1, std::memory_order_relaxed);
+          return;
+        }
+        idle_polls[w].fetch_add(1, std::memory_order_relaxed);
+        std::this_thread::yield();
+      }
+    });
+  }
+  // Let every idle worker poll an empty pool many times.
+  for (uint32_t w = 1; w < kWorkers; w++) {
+    while (idle_polls[w].load(std::memory_order_relaxed) < kPollsEach &&
+           terminated.load(std::memory_order_relaxed) == 0) {
+      std::this_thread::yield();
+    }
+  }
+  EXPECT_EQ(terminated.load(), 0);
+  EXPECT_FALSE(pool.Done());
+
+  EXPECT_FALSE(pool.TryGet(0, &v));  // worker 0 goes idle: flushes
+  EXPECT_TRUE(pool.Done());
+  for (auto& th : idlers) {
+    th.join();
+  }
+  EXPECT_EQ(terminated.load(), static_cast<int>(kWorkers) - 1);
 }
 
 }  // namespace

@@ -5,8 +5,21 @@
 #include <atomic>
 #include <set>
 
+#include "src/gc/gc_metrics.h"
+#include "src/gc/watchdog/gc_watchdog.h"
+#include "src/util/clock.h"
+
 namespace rolp {
 namespace {
+
+constexpr uint64_t kBurnNs = 2 * 1000 * 1000;
+
+// Spins until the calling thread has used `ns` of its own CPU time.
+void BurnThreadCpu(uint64_t ns) {
+  uint64_t start = ThreadCpuNs();
+  while (ThreadCpuNs() - start < ns) {
+  }
+}
 
 TEST(WorkerPoolTest, RunsTaskOnAllWorkers) {
   WorkerPool pool(4);
@@ -56,6 +69,46 @@ TEST(WorkerPoolTest, SingleWorkerPool) {
     value = 42;
   });
   EXPECT_EQ(value, 42);
+}
+
+// Worker-thread CPU of a dispatch is booked to the dispatching thread's
+// sink; without a sink, dispatches still run and nothing is booked.
+TEST(WorkerPoolTest, WorkerCpuSinkCountsWorkerBodies) {
+  WorkerPool pool(2);
+  pool.RunTask([](uint32_t) { BurnThreadCpu(kBurnNs); });
+  WorkerCpuSink sink;
+  pool.RunTask([](uint32_t) { BurnThreadCpu(kBurnNs); });
+  EXPECT_GE(sink.ns(), 2 * kBurnNs);
+  uint64_t after_one = sink.ns();
+  pool.ParallelFor(2, 1, [](uint32_t, size_t, size_t) { BurnThreadCpu(kBurnNs); });
+  EXPECT_GE(sink.ns(), after_one + kBurnNs);
+}
+
+// A nested sink collects its own dispatches and hands them to the outer one
+// when it ends, the way nested thread-CPU deltas include each other.
+TEST(WorkerPoolTest, NestedWorkerCpuSinkCountsTowardOuter) {
+  WorkerPool pool(2);
+  WorkerCpuSink outer;
+  {
+    WorkerCpuSink inner;
+    pool.RunTask([](uint32_t) { BurnThreadCpu(kBurnNs); });
+    EXPECT_GE(inner.ns(), 2 * kBurnNs);
+    EXPECT_EQ(outer.ns(), 0u);
+  }
+  EXPECT_GE(outer.ns(), 2 * kBurnNs);
+}
+
+// The phase CPU slot covers the workers, not only the coordinating thread,
+// which merely waits in RunTask.
+TEST(WorkerPoolTest, PhaseScopeChargesWorkerCpuToPhase) {
+  WorkerPool pool(2);
+  GcMetrics metrics;
+  {
+    WatchdogPhaseScope scope(nullptr, GcPhase::kEvacuate, nullptr, &metrics);
+    pool.RunTask([](uint32_t) { BurnThreadCpu(kBurnNs); });
+  }
+  EXPECT_GE(metrics.PhaseCpuNs(static_cast<size_t>(GcPhase::kEvacuate)), 2 * kBurnNs);
+  EXPECT_EQ(metrics.PhaseCpuNs(static_cast<size_t>(GcPhase::kMark)), 0u);
 }
 
 }  // namespace

@@ -12,7 +12,7 @@
 //   ROLP_INGEST_ARM         arm list when no argv arms, e.g. "rolp,g1"
 //   ROLP_INGEST_HEAP_MB     VM-arm heap size            (default 96)
 //   ROLP_INGEST_WARMUP      warmup fraction excluded    (default 0.3)
-//   ROLP_PACING             absolute | relative (pacing-bug A/B)
+//   ROLP_PACER_SPIN_US      pacer spin finish budget    (default 50)
 //   ROLP_FAULTS / ROLP_CHAOS  fault injection over the ingest.* points
 #include <cstdio>
 #include <cstring>

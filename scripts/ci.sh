@@ -23,10 +23,13 @@ for preset in "${PRESETS[@]}"; do
   echo "=== [$preset] test"
   ctest --preset "$preset"
   if [ "$preset" = tsan ]; then
-    # Termination races in the work-stealing pool and lock-free class
-    # lookups show up only in rare interleavings: repeat those suites.
-    echo "=== [$preset] termination races (20 repeats)"
-    ctest --preset "$preset" -R 'StealableQueue|WorkStealing|ClassRegistry' \
+    # Termination races in the work-stealing pool, lock-free class lookups
+    # and the open-loop service engine (one generator feeding per-shard
+    # queues and workers) show up only in rare interleavings: repeat those
+    # suites.
+    echo "=== [$preset] termination and service races (20 repeats)"
+    ctest --preset "$preset" \
+      -R 'StealableQueue|WorkStealing|ClassRegistry|OpenLoopService|ShardedService|ConsistentHashRouter|Pacer' \
       --repeat until-fail:20 --no-tests=error
   fi
 done

@@ -15,6 +15,10 @@
 // any stage are terminal responses recorded with full lateness. Workers that
 // find a request already past its deadline drop it without executing and the
 // per-class retry budget decides whether a backoff retry is scheduled.
+//
+// One engine (open_loop.cc) runs every open-loop service: RunService is its
+// one-shard case on the caller's workload, RunShardedService (sharded.h) its
+// N-shard case behind a consistent-hash router.
 #ifndef SRC_SERVICE_OPEN_LOOP_H_
 #define SRC_SERVICE_OPEN_LOOP_H_
 

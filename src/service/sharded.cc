@@ -1,29 +1,18 @@
 #include "src/service/sharded.h"
 
 #include <algorithm>
-#include <atomic>
-#include <chrono>
 #include <cinttypes>
-#include <cmath>
-#include <deque>
-#include <queue>
-#include <thread>
 
-#include "src/util/clock.h"
 #include "src/util/env.h"
-#include "src/util/fault_injection.h"
-#include "src/util/metrics_registry.h"
-#include "src/util/proc_stats.h"
 #include "src/util/random.h"
-#include "src/util/trace.h"
 
 namespace rolp {
 
-ConsistentHashRouter::ConsistentHashRouter(int shards, int vnodes) : shards_(shards) {
-  ring_.reserve(static_cast<size_t>(shards) * vnodes);
+ConsistentHashRouter::ConsistentHashRouter(int shards) : shards_(shards) {
+  ring_.reserve(static_cast<size_t>(shards) * kVnodes);
   for (int s = 0; s < shards; s++) {
     uint64_t seed = 0x9e3779b97f4a7c15ULL ^ (static_cast<uint64_t>(s) << 32);
-    for (int v = 0; v < vnodes; v++) {
+    for (int v = 0; v < kVnodes; v++) {
       ring_.emplace_back(SplitMix64(&seed), s);
     }
   }
@@ -49,464 +38,28 @@ ShardedServiceOptions ShardedServiceOptions::FromEnv() {
   return o;
 }
 
-namespace {
-
-struct ShardRequest {
-  uint64_t id = 0;
-  uint64_t scheduled_ns = 0;
-  uint64_t ready_ns = 0;
-  uint64_t enqueue_ns = 0;
-  uint64_t deadline_ns = 0;
-  uint64_t op_index = 0;
-  uint32_t attempt = 1;
-  uint8_t klass = 0;
-  uint8_t shard = 0;  // pinned at routing time; retries stay on their shard
-};
-
-struct RetryLater {
-  bool operator()(const ShardRequest& a, const ShardRequest& b) const {
-    return a.ready_ns > b.ready_ns;
-  }
-};
-
-// One shard: its VM, workload instance, queue, admission, retry budgets, SLO
-// sub-window, and worker threads. Everything per-shard so shards contend on
-// nothing but the CPU.
-struct Shard {
-  std::unique_ptr<Workload> workload;
-  std::unique_ptr<VM> vm;
-  std::unique_ptr<AdmissionController> admission;
-  std::unique_ptr<SloReporter> reporter;
-  std::deque<RetryBudget> budgets;
-
-  SpinLock queue_lock;
-  std::deque<ShardRequest> queue;
-  std::atomic<size_t> depth{0};
-
-  SpinLock retry_lock;
-  std::priority_queue<ShardRequest, std::vector<ShardRequest>, RetryLater> retries;
-
-  std::atomic<uint64_t> routed{0};
-  std::atomic<uint64_t> shed_queue_full{0};
-  std::atomic<uint64_t> shed_governor{0};
-  std::atomic<uint64_t> shed_deadline{0};
-  std::atomic<uint64_t> completed_ok{0};
-  std::atomic<uint64_t> deadline_miss{0};
-  std::atomic<uint64_t> retries_granted{0};
-  std::atomic<uint64_t> retry_denied{0};
-
-  std::vector<std::thread> workers;
-};
-
-}  // namespace
-
-ShardedServiceResult RunShardedService(
-    const VmConfig& vm_config,
-    const std::function<std::unique_ptr<Workload>(int shard)>& factory,
-    const ShardedServiceOptions& options) {
-  const int nshards = std::max(1, options.shards);
-  const ServiceOptions& sopt = options.service;
-  ShardedServiceResult result;
-  result.shards.resize(nshards);
-
-  std::vector<std::unique_ptr<Shard>> shards;
-  shards.reserve(nshards);
-  for (int s = 0; s < nshards; s++) {
-    auto sh = std::make_unique<Shard>();
-    sh->workload = factory(s);
-    VmConfig cfg = vm_config;
-    cfg.metrics_prefix = "shard" + std::to_string(s) + ".";
-    cfg.seed = vm_config.seed + static_cast<uint64_t>(s);
-    if (sopt.use_workload_filter && cfg.gc == GcKind::kRolp) {
-      sh->workload->ConfigureFilter(&cfg.filter);
-    }
-    sh->vm = std::make_unique<VM>(cfg);
-    {
-      ROLP_TRACE_SCOPE("workload", "workload.setup");
-      RuntimeThread* t = sh->vm->AttachThread();
-      sh->workload->Setup(*sh->vm, *t);
-      sh->vm->DetachThread(t);
-    }
-    sh->admission = std::make_unique<AdmissionController>(sopt.admission);
-    shards.push_back(std::move(sh));
-  }
-
-  // Calibrate against shard 0 and scale by the shard count: N shards offer N
-  // times one shard's capacity, and the router spreads keys near-uniformly.
-  double rate = sopt.rate_rps;
-  if (rate <= 0.0) {
-    std::atomic<uint64_t> ops{0};
-    uint64_t cal_start = NowNs();
-    uint64_t cal_end = cal_start + static_cast<uint64_t>(sopt.calibrate_s * 1e9);
-    std::vector<std::thread> threads;
-    for (int i = 0; i < sopt.workers; i++) {
-      threads.emplace_back([&, i] {
-        RuntimeThread* t = shards[0]->vm->AttachThread();
-        uint64_t op = (0x100ULL + static_cast<uint64_t>(i)) << 40;
-        while (NowNs() < cal_end) {
-          shards[0]->workload->Op(*t, op++);
-          ops.fetch_add(1, std::memory_order_relaxed);
-          t->Poll();
-        }
-        shards[0]->vm->DetachThread(t);
-      });
-    }
-    for (auto& th : threads) {
-      th.join();
-    }
-    double elapsed_s = static_cast<double>(NowNs() - cal_start) / 1e9;
-    result.calibrated_rps = elapsed_s > 0 ? static_cast<double>(ops.load()) / elapsed_s : 0.0;
-    rate = std::max(1.0, result.calibrated_rps * sopt.overload_factor * nshards);
-  }
-  result.offered_rps = rate;
-
-  ConsistentHashRouter router(nshards, options.vnodes);
-  ScopedTrace run_scope("workload", "workload.run");
-  uint64_t start_ns = NowNs();
-  uint64_t gen_end_ns = start_ns + static_cast<uint64_t>(sopt.duration_s * 1e9);
-  uint64_t deadline_budget_ns = sopt.admission.deadline_ms * 1000 * 1000;
-  std::atomic<bool> stop{false};
-  std::atomic<uint64_t> offered{0};
-
-  for (auto& sh : shards) {
-    sh->reporter = std::make_unique<SloReporter>(start_ns);
-    for (int i = 0; i < kNumRequestClasses; i++) {
-      sh->budgets.emplace_back(sopt.retry_ratio,
-                               std::max(8.0, sopt.retry_ratio * rate / nshards));
-    }
-  }
-
-  ScopedMetrics sm;
-  sm.Gauge("service.offered",
-           [&offered] { return static_cast<double>(offered.load(std::memory_order_relaxed)); });
-  for (int s = 0; s < nshards; s++) {
-    Shard* sh = shards[s].get();
-    std::string prefix = "shard" + std::to_string(s) + ".";
-    sm.Gauge(prefix + "service.routed",
-             [sh] { return static_cast<double>(sh->routed.load(std::memory_order_relaxed)); });
-    sm.Gauge(prefix + "service.queue_depth",
-             [sh] { return static_cast<double>(sh->depth.load(std::memory_order_relaxed)); });
-    sm.Gauge(prefix + "service.completed_ok", [sh] {
-      return static_cast<double>(sh->completed_ok.load(std::memory_order_relaxed));
-    });
-  }
-
-  auto worker_body = [&](Shard* sh, int worker_index) {
-    RuntimeThread* t = sh->vm->AttachThread();
-    uint64_t rng_state = sopt.seed ^ (0xd1b54a32d192ed03ULL * (worker_index + 1));
-    while (!stop.load(std::memory_order_relaxed)) {
-      ShardRequest req;
-      bool got = false;
-      LockAtSafepoint(sh->queue_lock, *t);
-      if (!sh->queue.empty()) {
-        req = sh->queue.front();
-        sh->queue.pop_front();
-        sh->depth.fetch_sub(1, std::memory_order_relaxed);
-        got = true;
-      }
-      sh->queue_lock.unlock();
-      if (!got) {
-        SafepointManager::ScopedSafeRegion safe(&sh->vm->safepoints(), &t->gc_context());
-        std::this_thread::sleep_for(std::chrono::microseconds(200));
-        continue;
-      }
-      uint64_t dq = NowNs();
-      if (dq > req.deadline_ns) {
-        bool retry = req.attempt < sopt.retry.max_attempts &&
-                     sh->budgets[req.klass].TryAcquire();
-        if (retry) {
-          ShardRequest again = req;
-          again.attempt++;
-          again.ready_ns = dq + sopt.retry.BackoffNs(req.attempt, &rng_state);
-          again.deadline_ns = again.ready_ns + deadline_budget_ns;
-          {
-            std::lock_guard<SpinLock> guard(sh->retry_lock);
-            sh->retries.push(again);
-          }
-          sh->retries_granted.fetch_add(1, std::memory_order_relaxed);
-          sh->reporter->CountRetry();
-        } else {
-          sh->retry_denied.fetch_add(1, std::memory_order_relaxed);
-          sh->shed_deadline.fetch_add(1, std::memory_order_relaxed);
-          RequestTimeline tl;
-          tl.id = req.id;
-          tl.scheduled_ns = req.scheduled_ns;
-          tl.enqueue_ns = req.enqueue_ns;
-          tl.dequeue_ns = dq;
-          tl.respond_ns = dq;
-          tl.attempts = req.attempt;
-          sh->reporter->Record(tl, RequestOutcome::kShed);
-        }
-        continue;
-      }
-      sh->workload->Op(*t, req.op_index);
-      uint64_t ex = NowNs();
-      sh->admission->ObserveService(ex - dq);
-      RequestTimeline tl;
-      tl.id = req.id;
-      tl.scheduled_ns = req.scheduled_ns;
-      tl.enqueue_ns = req.enqueue_ns;
-      tl.dequeue_ns = dq;
-      tl.execute_ns = ex;
-      tl.respond_ns = ex;
-      tl.attempts = req.attempt;
-      if (ex > req.deadline_ns) {
-        sh->deadline_miss.fetch_add(1, std::memory_order_relaxed);
-        sh->reporter->Record(tl, RequestOutcome::kDeadlineMiss);
-      } else {
-        sh->completed_ok.fetch_add(1, std::memory_order_relaxed);
-        sh->reporter->Record(tl, RequestOutcome::kOk);
-      }
-      t->Poll();
-    }
-    sh->vm->DetachThread(t);
-  };
-
-  for (auto& sh : shards) {
-    sh->workers.reserve(sopt.workers);
-    for (int i = 0; i < sopt.workers; i++) {
-      sh->workers.emplace_back(worker_body, sh.get(), i);
-    }
-  }
-
-  // One generator for all shards (unattached: never parked by any shard's
-  // safepoint). Fresh arrivals route by consistent hash of the op key; retry
-  // attempts stay on the shard that owns the key.
-  auto generator_body = [&] {
-    uint64_t rng = sopt.seed ^ 0x9e3779b97f4a7c15ULL;
-    double mean_gap_ns = 1e9 / rate;
-    uint64_t next_arrival = start_ns;
-    uint64_t next_id = 0;
-    while (true) {
-      uint64_t evt = next_arrival;
-      int retry_shard = -1;
-      for (int s = 0; s < nshards; s++) {
-        std::lock_guard<SpinLock> guard(shards[s]->retry_lock);
-        if (!shards[s]->retries.empty() && shards[s]->retries.top().ready_ns < evt) {
-          evt = shards[s]->retries.top().ready_ns;
-          retry_shard = s;
-        }
-      }
-      if (evt >= gen_end_ns) {
-        break;
-      }
-      uint64_t now = NowNs();
-      if (evt > now) {
-        uint64_t wait = std::min<uint64_t>(evt - now, 1000 * 1000);
-        std::this_thread::sleep_for(std::chrono::nanoseconds(wait));
-        continue;
-      }
-      ShardRequest req;
-      if (retry_shard >= 0) {
-        std::lock_guard<SpinLock> guard(shards[retry_shard]->retry_lock);
-        if (shards[retry_shard]->retries.empty()) {
-          continue;
-        }
-        req = shards[retry_shard]->retries.top();
-        shards[retry_shard]->retries.pop();
-      } else {
-        req.id = next_id++;
-        req.scheduled_ns = next_arrival;
-        req.ready_ns = next_arrival;
-        req.deadline_ns = next_arrival + deadline_budget_ns;
-        req.op_index = req.id;
-        req.attempt = 1;
-        req.shard = static_cast<uint8_t>(router.ShardFor(req.op_index));
-        double u = static_cast<double>(SplitMix64(&rng) >> 11) * 0x1.0p-53;
-        req.klass = u < sopt.write_fraction
-                        ? static_cast<uint8_t>(RequestClass::kWrite)
-                        : static_cast<uint8_t>(RequestClass::kRead);
-        offered.fetch_add(1, std::memory_order_relaxed);
-        shards[req.shard]->routed.fetch_add(1, std::memory_order_relaxed);
-        shards[req.shard]->budgets[req.klass].OnRequest();
-        double u2 = static_cast<double>(SplitMix64(&rng) >> 11) * 0x1.0p-53;
-        double gap = sopt.poisson_arrivals ? -std::log(1.0 - u2) * mean_gap_ns
-                                           : mean_gap_ns;
-        if (ROLP_FAULT_POINT("service.arrival.burst")) {
-          gap = 0.0;
-        }
-        next_arrival += std::max<uint64_t>(static_cast<uint64_t>(gap), 1);
-      }
-      Shard* sh = shards[req.shard].get();
-      now = NowNs();
-      size_t depth = sh->depth.load(std::memory_order_relaxed);
-      bool queue_full = depth >= sopt.admission.queue_capacity ||
-                        ROLP_FAULT_POINT("service.queue.full");
-      bool governor_shed = sh->vm->heap().governor().level() >= PressureLevel::kShed;
-      if (queue_full || governor_shed) {
-        (queue_full ? sh->shed_queue_full : sh->shed_governor)
-            .fetch_add(1, std::memory_order_relaxed);
-        RequestTimeline tl;
-        tl.id = req.id;
-        tl.scheduled_ns = req.scheduled_ns;
-        tl.enqueue_ns = now;
-        tl.respond_ns = now;
-        tl.attempts = req.attempt;
-        sh->reporter->Record(tl, RequestOutcome::kShed);
-      } else if (ROLP_FAULT_POINT("service.admit.reject") ||
-                 !sh->admission->Admit(depth, now, req.deadline_ns)) {
-        RequestTimeline tl;
-        tl.id = req.id;
-        tl.scheduled_ns = req.scheduled_ns;
-        tl.enqueue_ns = now;
-        tl.respond_ns = now;
-        tl.attempts = req.attempt;
-        sh->reporter->Record(tl, RequestOutcome::kRejected);
-      } else {
-        req.enqueue_ns = now;
-        std::lock_guard<SpinLock> guard(sh->queue_lock);
-        sh->queue.push_back(req);
-        sh->depth.fetch_add(1, std::memory_order_relaxed);
-      }
-    }
-  };
-
-  std::thread generator(generator_body);
-  generator.join();
-
-  uint64_t drain_end = NowNs() + static_cast<uint64_t>(sopt.drain_grace_s * 1e9);
-  auto total_depth = [&shards] {
-    size_t d = 0;
-    for (auto& sh : shards) {
-      d += sh->depth.load(std::memory_order_relaxed);
-    }
-    return d;
-  };
-  while (total_depth() > 0 && NowNs() < drain_end) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(5));
-  }
-  stop.store(true, std::memory_order_relaxed);
-  for (auto& sh : shards) {
-    for (auto& th : sh->workers) {
-      th.join();
-    }
-  }
-  uint64_t end_ns = NowNs();
-  for (auto& sh : shards) {
-    std::lock_guard<SpinLock> guard(sh->queue_lock);
-    for (const ShardRequest& req : sh->queue) {
-      RequestTimeline tl;
-      tl.id = req.id;
-      tl.scheduled_ns = req.scheduled_ns;
-      tl.enqueue_ns = req.enqueue_ns;
-      tl.respond_ns = end_ns;
-      tl.attempts = req.attempt;
-      sh->reporter->Record(tl, RequestOutcome::kShed);
-    }
-    sh->queue.clear();
-    sh->depth.store(0, std::memory_order_relaxed);
-    std::lock_guard<SpinLock> retry_guard(sh->retry_lock);
-    while (!sh->retries.empty()) {
-      const ShardRequest& req = sh->retries.top();
-      RequestTimeline tl;
-      tl.id = req.id;
-      tl.scheduled_ns = req.scheduled_ns;
-      tl.respond_ns = end_ns;
-      tl.attempts = req.attempt;
-      sh->reporter->Record(tl, RequestOutcome::kShed);
-      sh->retries.pop();
-    }
-  }
-
-  // Load has stopped. Collect each shard once so garbage regions hit the free
-  // lists, then watch RSS settle while the uncommit sweepers hand idle
-  // regions back to the OS.
-  result.rss_load_bytes = CurrentRssBytes();
-  result.rss_settled_bytes = result.rss_load_bytes;
-  if (options.uncommit_ms > 0) {
-    for (auto& sh : shards) {
-      RuntimeThread* t = sh->vm->AttachThread();
-      sh->vm->collector().CollectFull(&t->gc_context());
-      sh->vm->DetachThread(t);
-    }
-    result.rss_load_bytes = CurrentRssBytes();
-    result.rss_settled_bytes = result.rss_load_bytes;
-    uint64_t watch_end =
-        NowNs() + static_cast<uint64_t>(2 * options.uncommit_ms) * 1000000ull;
-    int64_t poll_ms = std::max<int64_t>(options.uncommit_ms / 8, 10);
-    while (NowNs() < watch_end) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(poll_ms));
-      result.rss_settled_bytes = std::min(result.rss_settled_bytes, CurrentRssBytes());
-    }
-  }
-
-  // Merge the per-shard sub-windows into one verdict. All reporters share
-  // start_ns, so the ring slots line up exactly.
-  SloReporter merged(start_ns);
-  for (int s = 0; s < nshards; s++) {
-    Shard* sh = shards[s].get();
-    SloReporter::Verdict sub = sh->reporter->Evaluate(
-        std::string(GcKindName(vm_config.gc)) + "/shard" + std::to_string(s),
-        sopt.slo, true, end_ns);
-    result.shards[s].slo_pass = sub.pass;
-    result.shards[s].verdict_json = sub.json;
-    result.shards[s].routed = sh->routed.load();
-    result.shards[s].completed_ok = sh->completed_ok.load();
-    result.shards[s].deadline_miss = sh->deadline_miss.load();
-    result.shards[s].rejected = sh->admission->rejected();
-    result.shards[s].shed = sh->shed_queue_full.load() + sh->shed_governor.load() +
-                            sh->shed_deadline.load();
-    result.shards[s].retries = sh->retries_granted.load();
-    merged.MergeFrom(*sh->reporter, end_ns);
-  }
-  result.offered = offered.load();
-  // Reaching this line with every shard VM alive is the zero-abort proof.
-  result.survived = true;
-
-  char extra[256];
-  double rss_drop = result.rss_load_bytes > 0
-                        ? 1.0 - static_cast<double>(result.rss_settled_bytes) /
-                                    static_cast<double>(result.rss_load_bytes)
-                        : 0.0;
-  std::snprintf(extra, sizeof(extra),
-                "\"shards\":%d,\"offered\":%" PRIu64 ",\"rss_load_bytes\":%" PRIu64
-                ",\"rss_settled_bytes\":%" PRIu64 ",\"rss_drop\":%.4f",
-                nshards, result.offered, result.rss_load_bytes, result.rss_settled_bytes,
-                rss_drop);
-  SloReporter::Verdict verdict = merged.Evaluate(GcKindName(vm_config.gc), sopt.slo,
-                                                 result.survived, end_ns, extra);
-  result.slo_pass = verdict.pass;
-  result.verdict_json = verdict.json;
-  result.slo = merged.Collect(end_ns);
-
-  for (auto& sh : shards) {
-    sh->workload->Teardown();
-  }
-  return result;
-}
-
 void PrintShardedReport(std::FILE* out, const ShardedServiceResult& r) {
   std::fprintf(out,
                "sharded service: shards=%zu offered=%" PRIu64 " (%.0f rps%s)\n",
                r.shards.size(), r.offered, r.offered_rps,
                r.calibrated_rps > 0 ? " calibrated" : "");
   for (size_t s = 0; s < r.shards.size(); s++) {
-    const ShardedServiceResult::ShardStats& st = r.shards[s];
-    std::fprintf(out,
-                 "  shard %zu: routed=%" PRIu64 " ok=%" PRIu64 " miss=%" PRIu64
-                 " rejected=%" PRIu64 " shed=%" PRIu64 " retries=%" PRIu64 " slo=%s\n",
-                 s, st.routed, st.completed_ok, st.deadline_miss, st.rejected, st.shed,
-                 st.retries, st.slo_pass ? "pass" : "FAIL");
+    std::fprintf(out, "shard %zu: slo=%s\n", s, r.shards[s].slo_pass ? "pass" : "FAIL");
+    PrintServiceReport(out, r.shards[s]);
   }
   if (r.rss_load_bytes > 0) {
-    std::fprintf(out, "  rss: load=%.1fMB settled=%.1fMB (drop %.1f%%)\n",
+    std::fprintf(out, "rss: load=%.1fMB settled=%.1fMB (drop %.1f%%)\n",
                  static_cast<double>(r.rss_load_bytes) / (1024.0 * 1024.0),
                  static_cast<double>(r.rss_settled_bytes) / (1024.0 * 1024.0),
-                 r.rss_load_bytes > 0
-                     ? 100.0 * (1.0 - static_cast<double>(r.rss_settled_bytes) /
-                                          static_cast<double>(r.rss_load_bytes))
-                     : 0.0);
+                 100.0 * (1.0 - static_cast<double>(r.rss_settled_bytes) /
+                                    static_cast<double>(r.rss_load_bytes)));
   }
+  // The merged lateness percentiles are in the merged verdict (verdict_json).
   const SloReporter::Snapshot& s = r.slo;
   std::fprintf(out,
-               "  merged: total=%" PRIu64 " ok=%" PRIu64 " miss=%" PRIu64
+               "merged: total=%" PRIu64 " ok=%" PRIu64 " miss=%" PRIu64
                " rejected=%" PRIu64 " shed=%" PRIu64 " error_rate=%.3f\n",
                s.total, s.ok, s.deadline_miss, s.rejected, s.shed, s.error_rate);
-  std::fprintf(out,
-               "  lateness alltime  p50=%.2fms p95=%.2fms p99=%.2fms p99.9=%.2fms "
-               "max=%.2fms (n=%" PRIu64 ")\n",
-               s.alltime.p50_ms, s.alltime.p95_ms, s.alltime.p99_ms, s.alltime.p999_ms,
-               s.alltime.max_ms, s.alltime.count);
 }
 
 }  // namespace rolp

@@ -23,9 +23,6 @@ inline std::chrono::steady_clock::time_point ToTimePoint(uint64_t ns) {
 
 PacerOptions PacerOptions::FromEnv() {
   PacerOptions o;
-  if (EnvString("ROLP_PACING", "absolute") == "relative") {
-    o.mode = PacingMode::kRelativeSleep;
-  }
   o.spin_slack_ns = static_cast<uint64_t>(
       EnvInt64("ROLP_PACER_SPIN_US", static_cast<int64_t>(o.spin_slack_ns / 1000)) * 1000);
   return o;
@@ -35,14 +32,6 @@ uint64_t Pacer::WaitUntil(uint64_t deadline_ns, bool precise) {
   uint64_t now = NowNs();
   if (now >= deadline_ns) {
     return now;
-  }
-
-  if (options_.mode == PacingMode::kRelativeSleep) {
-    // Legacy path, bug and all: the relative wait pays the kernel timer
-    // slack on top of the remaining time. Kept for the pacing regression
-    // test and ROLP_PACING=relative A/B runs.
-    std::this_thread::sleep_for(std::chrono::nanoseconds(deadline_ns - now));
-    return NowNs();
   }
 
   // Absolute sleep to (deadline - slack): oversleep cannot compound because

@@ -1,6 +1,6 @@
 // Absolute-deadline pacing for open-loop load generation.
 //
-// The bug this replaces: pacing with a *relative* sleep —
+// The bug this fixed: pacing with a *relative* sleep —
 //   sleep_for(deadline - now)
 // — re-anchors every wait to the moment sleep_for is called, so the OS
 // timer slack (50 µs by default on Linux, see prctl(PR_SET_TIMERSLACK)) is
@@ -19,11 +19,6 @@
 // entirely, so issuance lands within the clock-read granularity of the
 // schedule. Callers that only need a coarse wake (e.g. the generator's
 // periodic retry-queue re-check) pass precise=false and skip the spin.
-//
-// kRelativeSleep preserves the legacy behaviour verbatim so the regression
-// test can demonstrate the drift on demand (tests/service/pacer_test.cc) —
-// the pre-fix failure stays encoded in the suite instead of vanishing with
-// the fix. ROLP_PACING=relative re-enables it end to end for A/B runs.
 #ifndef SRC_UTIL_PACER_H_
 #define SRC_UTIL_PACER_H_
 
@@ -31,9 +26,10 @@
 
 namespace rolp {
 
+// One mode; the enum stays so callers that pin the mode explicitly keep
+// doing so.
 enum class PacingMode : uint8_t {
   kAbsoluteHybrid = 0,  // sleep_until(deadline - slack) + bounded spin
-  kRelativeSleep = 1,   // legacy: sleep_for(deadline - now); drifts by timer slack
 };
 
 struct PacerOptions {
@@ -42,7 +38,7 @@ struct PacerOptions {
   // default Linux timer slack: sleeping closer than this to the deadline is
   // what the kernel cannot do accurately.
   uint64_t spin_slack_ns = 50 * 1000;
-  // Reads ROLP_PACING=absolute|relative and ROLP_PACER_SPIN_US.
+  // Reads ROLP_PACER_SPIN_US.
   static PacerOptions FromEnv();
 };
 

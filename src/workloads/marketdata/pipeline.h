@@ -55,7 +55,7 @@ struct IngestOptions {
 
   // Reads ROLP_INGEST_RATE, ROLP_INGEST_EVENTS, ROLP_INGEST_HEAP_MB,
   // ROLP_INGEST_WARMUP, ROLP_INGEST_TICK_BYTES, ROLP_INGEST_SEED, and the
-  // pacer knobs (ROLP_PACING, ROLP_PACER_SPIN_US).
+  // pacer knob ROLP_PACER_SPIN_US.
   static IngestOptions FromEnv();
 };
 

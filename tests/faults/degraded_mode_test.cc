@@ -4,13 +4,10 @@
 // decisions repopulate.
 #include <gtest/gtest.h>
 
-#include <chrono>
-#include <thread>
-
 #include "src/heap/object.h"
 #include "src/rolp/profiler.h"
 #include "src/util/fault_injection.h"
-#include "src/workloads/driver.h"
+#include "src/runtime/vm.h"
 #include "src/workloads/kvstore.h"
 
 namespace rolp {
@@ -225,8 +222,13 @@ TEST_F(DegradedModeTest, SpuriousResolverConflictStartsTrialRound) {
 }
 
 // End-to-end: a real workload saturates the OLD table mid-run via the drop
-// fail point. The run must complete, degrade (TargetGen -> 0), then re-arm
-// after the fault clears and repopulate decisions before the run ends.
+// fail point. The run must continue, degrade (TargetGen -> 0), then re-arm
+// after the fault clears and repopulate decisions. The oracle counts GC
+// cycles and inference rounds, not seconds: the fault clears a fixed number of
+// cycles after degraded mode is entered, and after the re-arm the run goes on
+// for a fixed number of inference rounds before the end state is read, so a
+// slow or loaded machine only makes the run longer. The cycle cap bounds a
+// profiler that never re-arms.
 TEST_F(DegradedModeTest, WorkloadSaturationRecoversAndRepopulates) {
   VmConfig cfg;
   cfg.heap_mb = 48;
@@ -237,41 +239,58 @@ TEST_F(DegradedModeTest, WorkloadSaturationRecoversAndRepopulates) {
   cfg.rolp.old_table_entries = 1 << 14;
   cfg.rolp.degrade_dropped_per_cycle = 64;
   cfg.rolp.rearm_clean_cycles = 2;
+  constexpr uint64_t kFaultCyclesAfterDegrade = 8;
+  constexpr uint64_t kPostRearmInferences = 4;
+  constexpr uint64_t kMaxCycles = 2000;
 
-  DriverOptions opt;
-  opt.threads = 1;
-  opt.duration_s = 4.5;
+  KvStoreOptions kv;
+  kv.num_keys = 12000;
+  kv.value_bytes = 512;
+  kv.memtable_flush_rows = 6000;
+  KvStoreWorkload w(kv);
+  w.ConfigureFilter(&cfg.filter);
+  VM vm(cfg);
+  ASSERT_NE(vm.profiler(), nullptr);
+  Profiler& p = *vm.profiler();
+  const GcMetrics& gm = vm.collector().metrics();
+  RuntimeThread* t = vm.AttachThread();
+  w.Setup(vm, *t);
 
-  // How far recovery gets inside the fixed duration depends on how many GC
-  // cycles the machine manages after the fault clears, so the end-state
-  // assertions are allowed a bounded number of fresh attempts. The
-  // robustness properties (run completes, drops observed, degraded entered)
-  // must hold on every attempt.
-  RunResult r;
-  for (int attempt = 0; attempt < 3; attempt++) {
-    KvStoreOptions kv;
-    kv.num_keys = 12000;
-    kv.value_bytes = 512;
-    kv.memtable_flush_rows = 6000;
-    KvStoreWorkload w(kv);
-
-    fi().ArmAlways("rolp.old_table.drop");
-    std::thread clearer([this] {
-      std::this_thread::sleep_for(std::chrono::milliseconds(700));
-      fi().Disarm("rolp.old_table.drop");
-    });
-    r = RunWorkload(cfg, w, opt);
-    clearer.join();
-
-    ASSERT_GT(r.ops, 0u);  // the run completed despite saturation
-    ASSERT_GT(r.old_table_dropped, 0u);
-    ASSERT_GE(r.profiler_degraded_entries, 1u);
-    if (!r.profiler_degraded_at_end && r.decisions_at_end > 0) {
-      break;
+  fi().ArmAlways("rolp.old_table.drop");
+  uint64_t op = 0;
+  auto run_until = [&](auto done) {
+    while (!done() && gm.GcCycles() < kMaxCycles) {
+      w.Op(*t, op++);
+      t->Poll();
     }
-  }
-  EXPECT_FALSE(r.profiler_degraded_at_end);  // re-armed after the fault cleared
-  EXPECT_GT(r.decisions_at_end, 0u);         // decisions repopulated
+  };
+  // Saturate until the profiler degrades, and keep dropping for a few more
+  // cycles so the fault outlives the transition.
+  run_until([&] { return p.degraded_entries() > 0; });
+  EXPECT_GE(p.degraded_entries(), 1u) << "no degrade within " << kMaxCycles << " cycles";
+  const uint64_t clear_at = gm.GcCycles() + kFaultCyclesAfterDegrade;
+  run_until([&] { return gm.GcCycles() >= clear_at; });
+  fi().Disarm("rolp.old_table.drop");
+  EXPECT_GT(p.old_table().dropped_samples(), 0u);
+
+  // Fault cleared: wait for the re-arm, then run a fixed number of inference
+  // rounds on fresh histograms. The end state is read only after them.
+  run_until([&] { return !p.degraded(); });
+  const uint64_t rearm_inferences = p.inferences_run();
+  run_until([&] { return p.inferences_run() >= rearm_inferences + kPostRearmInferences; });
+  const uint64_t cycles = gm.GcCycles();
+  const uint64_t post_rearm_inferences = p.inferences_run() - rearm_inferences;
+  const bool degraded_at_end = p.degraded();
+  const uint64_t decisions_at_end = p.decisions_count();
+  vm.DetachThread(t);
+  w.Teardown();
+
+  EXPECT_GT(op, 0u);  // the run kept going despite saturation
+  EXPECT_GE(post_rearm_inferences, kPostRearmInferences)
+      << "no re-arm and " << kPostRearmInferences << " inferences within " << kMaxCycles
+      << " cycles";
+  EXPECT_FALSE(degraded_at_end) << "still degraded after " << cycles << " cycles";
+  EXPECT_GT(decisions_at_end, 0u) << "no decisions after " << cycles << " cycles";
 }
 
 }  // namespace

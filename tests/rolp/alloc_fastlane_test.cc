@@ -211,6 +211,11 @@ TEST(AllocFastLaneTest, ConcurrentBufferedStressReconcilesAtSafepoint) {
   constexpr int kPerThread = 40000;
   constexpr int kContexts = 64;
   std::atomic<bool> stop{false};
+  // Completed reader passes. Each writer holds its final flush until the
+  // reader has finished a whole pass that began after the writer's earlier
+  // flushes, so at least one probe made while the writers run finds published
+  // rows, however late the reader is first scheduled.
+  std::atomic<uint64_t> reader_passes{0};
 
   // Writers: buffered recording over a shared context set, with periodic
   // voluntary flushes (thread detach / allocation-failure paths do this).
@@ -223,6 +228,12 @@ TEST(AllocFastLaneTest, ConcurrentBufferedStressReconcilesAtSafepoint) {
         uint32_t ctx = markword::MakeContext(
             static_cast<uint16_t>(1 + (i * (t + 1)) % kContexts), 0);
         buffers[t].Record(table, ctx);
+        if (i == kPerThread - 1) {
+          const uint64_t passes = reader_passes.load(std::memory_order_acquire);
+          while (reader_passes.load(std::memory_order_acquire) < passes + 2) {
+            std::this_thread::yield();
+          }
+        }
         if (i % 10000 == 9999) {
           buffers[t].Flush(table);
         }
@@ -240,6 +251,7 @@ TEST(AllocFastLaneTest, ConcurrentBufferedStressReconcilesAtSafepoint) {
           seen += table.DecisionFor(ctx) + 1;
         }
       }
+      reader_passes.fetch_add(1, std::memory_order_release);
     }
     EXPECT_GT(seen, 0u);
   });

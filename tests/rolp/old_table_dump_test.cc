@@ -1,4 +1,5 @@
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <cstdio>
 #include <cstdlib>
@@ -119,13 +120,16 @@ TEST(OldTableDumpTest, DegradedStateIsReported) {
 
 TEST(OldTableDumpTest, WriteIntrospectionCreatesFile) {
   Profiler p(SmallConfig());
-  std::string path = ::testing::TempDir() + "/old_table_dump.txt";
+  // Per-process name: concurrent test processes share the temp dir.
+  std::string path =
+      ::testing::TempDir() + "/old_table_dump." + std::to_string(getpid()) + ".txt";
   ASSERT_TRUE(p.WriteIntrospection(path));
   std::FILE* f = std::fopen(path.c_str(), "r");
   ASSERT_NE(f, nullptr);
   char line[128] = {};
   ASSERT_NE(std::fgets(line, sizeof(line), f), nullptr);
   std::fclose(f);
+  std::remove(path.c_str());
   EXPECT_STREQ(line, "== ROLP profiler introspection ==\n");
 }
 

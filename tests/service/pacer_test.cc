@@ -1,11 +1,10 @@
-// Open-loop pacing drift regression (DESIGN.md §16).
+// Open-loop pacing regression (DESIGN.md §16).
 //
-// The fixed pacer (kAbsoluteHybrid) must hold the offered rate within 1% at
-// 100k events/s and keep per-event issuance lateness far below the kernel
-// timer slack. The legacy relative-sleep pacer is kept runnable on purpose:
-// the *same harness* demonstrates the drift it had — median lateness on the
-// order of the timer slack (~50 µs), i.e. 5x the inter-arrival gap — so the
-// pre-fix failure mode stays encoded in the suite.
+// The pacer must hold the offered rate within 1% at 100k events/s and keep
+// per-event issuance lateness far below the kernel timer slack (~50 µs),
+// which is what the relative sleep_for pacing it replaced could not do: that
+// pacer's median lateness was on the order of the slack, 5x the
+// inter-arrival gap.
 #include "src/util/pacer.h"
 
 #include <algorithm>
@@ -27,10 +26,8 @@ struct PacingRun {
 // Replays the open-loop generator loop shape: a fixed schedule of `events`
 // deadlines `gap_ns` apart, waiting for each with the pacer under test, and
 // charges lateness as (wake - deadline) per event.
-PacingRun DriveSchedule(PacingMode mode, uint64_t events, uint64_t gap_ns) {
-  PacerOptions opt;
-  opt.mode = mode;
-  Pacer pacer(opt);
+PacingRun DriveSchedule(uint64_t events, uint64_t gap_ns) {
+  Pacer pacer;
   std::vector<uint64_t> lateness;
   lateness.reserve(events);
   const uint64_t start = NowNs() + 1000 * 1000;  // 1 ms lead-in
@@ -56,35 +53,19 @@ constexpr uint64_t kEvents = 30000;
 constexpr uint64_t kGapNs = 10000;  // 100k events/s: gap < Linux timer slack
 
 TEST(PacerTest, AbsoluteModeHoldsRateWithinOnePercentAt100kEps) {
-  PacingRun run = DriveSchedule(PacingMode::kAbsoluteHybrid, kEvents, kGapNs);
+  PacingRun run = DriveSchedule(kEvents, kGapNs);
   const double target_eps = 1e9 / static_cast<double>(kGapNs);
   EXPECT_NEAR(run.achieved_eps, target_eps, target_eps * 0.01)
       << "offered rate drifted more than 1% from the schedule";
 }
 
 TEST(PacerTest, AbsoluteModeLatenessIsNotTimerSlackDominated) {
-  PacingRun run = DriveSchedule(PacingMode::kAbsoluteHybrid, kEvents, kGapNs);
+  PacingRun run = DriveSchedule(kEvents, kGapNs);
   // The hybrid finish spins through the slack window: typical lateness is a
   // clock read (~tens of ns). 20 µs leaves room for scheduler noise while
   // still sitting well under the 50 µs timer slack that defined the bug.
   EXPECT_LT(run.lateness_p50_ns, 20 * 1000u)
       << "median issuance lateness looks timer-slack-dominated";
-}
-
-TEST(PacerTest, RelativeModeDemonstratesTimerSlackDrift) {
-  // The legacy pacer re-anchors each wait at sleep_for() call time, so every
-  // sleep overshoots by the kernel timer slack and the generator falls into
-  // oversleep-then-burst cycles. This is the failing pre-fix behaviour,
-  // demonstrated on demand: its median lateness is at least the inter-arrival
-  // gap (the schedule can never be hit), and in practice slack-sized.
-  PacingRun run = DriveSchedule(PacingMode::kRelativeSleep, kEvents, kGapNs);
-  EXPECT_GE(run.lateness_p50_ns, kGapNs)
-      << "relative sleep unexpectedly held the schedule — did the legacy "
-         "path get fixed? Then it no longer demonstrates the bug.";
-
-  PacingRun fixed = DriveSchedule(PacingMode::kAbsoluteHybrid, kEvents, kGapNs);
-  EXPECT_GT(run.lateness_p50_ns, fixed.lateness_p50_ns * 4)
-      << "drift demonstration margin collapsed";
 }
 
 TEST(PacerTest, PastDeadlinesReturnImmediately) {

@@ -4,13 +4,17 @@
 // into a small VM must shed/reject load and finish without aborting.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <memory>
+#include <vector>
 
 #include "src/rolp/profiler.h"
 #include "src/service/admission.h"
 #include "src/service/open_loop.h"
 #include "src/service/sharded.h"
 #include "src/service/slo_reporter.h"
+#include "src/util/random.h"
 #include "src/workloads/kvstore.h"
 
 namespace rolp {
@@ -305,35 +309,74 @@ TEST(ConsistentHashRouterTest, ScaleOutMovesOnlyAFractionOfKeys) {
   EXPECT_GT(moved, 0u);
 }
 
+// Arrival offsets (ns after the run start) of the seeded open-loop schedule
+// for `o`: two SplitMix64 draws per fresh arrival, request class then gap —
+// the recipe the generator follows and perfbench's driver rebuilds.
+std::vector<uint64_t> PoissonSchedule(const ServiceOptions& o) {
+  std::vector<uint64_t> offsets;
+  uint64_t rng = o.seed ^ 0x9e3779b97f4a7c15ULL;
+  double mean_gap_ns = 1e9 / o.rate_rps;
+  uint64_t end = static_cast<uint64_t>(o.duration_s * 1e9);
+  for (uint64_t next = 0; next < end;) {
+    offsets.push_back(next);
+    (void)SplitMix64(&rng);  // request class
+    double u2 = static_cast<double>(SplitMix64(&rng) >> 11) * 0x1.0p-53;
+    double gap = o.poisson_arrivals ? -std::log(1.0 - u2) * mean_gap_ns : mean_gap_ns;
+    next += std::max<uint64_t>(static_cast<uint64_t>(gap), 1);
+  }
+  return offsets;
+}
+
 TEST(ShardedServiceTest, RoutesConserveRequestsAcrossShards) {
-  // Two VM shards under one open-loop schedule: every fresh arrival lands on
-  // exactly one shard, the per-shard counters sum to the offered count, and
-  // the merged reporter saw every terminal decision exactly once.
+  // One seeded schedule through the one-shard engine (RunService) and through
+  // two VM shards (RunShardedService), checked by counting, not timing: both
+  // offer exactly the rebuilt schedule, each shard receives exactly the ids
+  // the router sends it, and every request terminates exactly once.
   VmConfig cfg;
   cfg.heap_mb = 48;
   cfg.gc = GcKind::kG1;
   KvStoreOptions kv;
   kv.num_keys = 4000;
   kv.memtable_flush_rows = 1000;
+  ServiceOptions so;
+  so.workers = 1;
+  so.duration_s = 1.0;
+  so.rate_rps = 2000.0;
+  so.calibrate_s = 0.0;
+  so.drain_grace_s = 0.5;
+  const std::vector<uint64_t> schedule = PoissonSchedule(so);
+  ASSERT_GT(schedule.size(), 500u);
+
+  KvStoreWorkload workload(kv);
+  ServiceResult single = RunService(cfg, workload, so);
+  EXPECT_TRUE(single.survived);
+  EXPECT_EQ(single.offered, schedule.size());
+  EXPECT_EQ(single.slo.total, single.offered);
+
   ShardedServiceOptions opt;
   opt.shards = 2;
-  opt.service.workers = 1;
-  opt.service.duration_s = 1.0;
-  opt.service.rate_rps = 2000.0;
-  opt.service.calibrate_s = 0.0;
-  opt.service.drain_grace_s = 0.5;
+  opt.service = so;
   ShardedServiceResult r = RunShardedService(
       cfg, [&kv](int) { return std::make_unique<KvStoreWorkload>(kv); }, opt);
 
   EXPECT_TRUE(r.survived);
+  EXPECT_EQ(r.offered, schedule.size());
   ASSERT_EQ(r.shards.size(), 2u);
+  ConsistentHashRouter router(2);
+  std::vector<uint64_t> routed(2, 0);
+  for (uint64_t id = 0; id < schedule.size(); id++) {
+    routed[router.ShardFor(id)]++;
+  }
   uint64_t routed_sum = 0;
-  for (const auto& shard : r.shards) {
-    EXPECT_GT(shard.routed, 0u) << "router starved a shard";
-    routed_sum += shard.routed;
+  for (size_t s = 0; s < r.shards.size(); s++) {
+    const ServiceResult& shard = r.shards[s];
+    EXPECT_GT(shard.offered, 0u) << "router starved a shard";
+    EXPECT_EQ(shard.offered, routed[s]) << "shard " << s;
+    // Each shard's reporter saw one terminal decision per request routed to it.
+    EXPECT_EQ(shard.slo.total, shard.offered) << "shard " << s;
+    routed_sum += shard.offered;
   }
   EXPECT_EQ(routed_sum, r.offered);
-  EXPECT_GT(r.offered, 500u);
   // The merged reporter recorded one terminal decision per offered request.
   EXPECT_EQ(r.slo.total, r.offered);
   EXPECT_FALSE(r.verdict_json.empty());
@@ -374,7 +417,9 @@ TEST(ProfilerHeapPressureTest, DegradesUnderPressureAndReArmsOnlyAfterItClears) 
 TEST(OpenLoopServiceTest, OverloadRunShedsWithoutAborting) {
   // Arrivals far beyond what one worker can execute on a small heap: the
   // harness must reject/shed the excess, keep every counter consistent, and
-  // reach the end alive. This is the unit-sized version of the CI soak.
+  // reach the end alive. This is the unit-sized version of the CI soak. The
+  // overload is sized from the capacity the same run measures (4x a
+  // closed-loop probe), so it overloads a fast box and a slow one alike.
   VmConfig cfg;
   cfg.heap_mb = 48;
   cfg.gc = GcKind::kRolp;
@@ -385,8 +430,9 @@ TEST(OpenLoopServiceTest, OverloadRunShedsWithoutAborting) {
   ServiceOptions opt;
   opt.workers = 1;
   opt.duration_s = 1.5;
-  opt.rate_rps = 60000.0;  // >> single-worker capacity: guaranteed overload
-  opt.calibrate_s = 0.0;
+  opt.rate_rps = 0.0;  // calibrate, then offer overload_factor x capacity
+  opt.calibrate_s = 0.3;
+  opt.overload_factor = 4.0;
   opt.drain_grace_s = 0.3;
   opt.admission.queue_capacity = 128;
   opt.admission.deadline_ms = 50;

@@ -1,7 +1,9 @@
 #include "src/util/metrics_registry.h"
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
+#include <cstdio>
 #include <string>
 #include <thread>
 #include <vector>
@@ -144,7 +146,9 @@ TEST(MetricsRegistryTest, TextSnapshotContainsValues) {
 TEST(MetricsRegistryTest, WriteSnapshotFilesEmitsJsonAndText) {
   MetricsRegistry reg;
   reg.Counter("test.count")->Add(3);
-  std::string path = ::testing::TempDir() + "/metrics_snapshot.json";
+  // Per-process name: concurrent test processes share the temp dir.
+  std::string path =
+      ::testing::TempDir() + "/metrics_snapshot." + std::to_string(getpid()) + ".json";
   ASSERT_TRUE(reg.WriteSnapshotFiles(path));
   auto slurp = [](const std::string& p) {
     std::FILE* f = std::fopen(p.c_str(), "r");
@@ -160,6 +164,8 @@ TEST(MetricsRegistryTest, WriteSnapshotFilesEmitsJsonAndText) {
   };
   EXPECT_NE(slurp(path).find("\"test.count\":3"), std::string::npos);
   EXPECT_NE(slurp(path + ".txt").find("test.count"), std::string::npos);
+  std::remove(path.c_str());
+  std::remove((path + ".txt").c_str());
 }
 
 TEST(MetricsRegistryTest, InstanceIsProcessSingleton) {

@@ -23,13 +23,14 @@ for preset in "${PRESETS[@]}"; do
   echo "=== [$preset] test"
   ctest --preset "$preset"
   if [ "$preset" = tsan ]; then
-    # Termination races in the work-stealing pool, lock-free class lookups
-    # and the open-loop service engine (one generator feeding per-shard
-    # queues and workers) show up only in rare interleavings: repeat those
-    # suites.
-    echo "=== [$preset] termination and service races (20 repeats)"
+    # Dispatch races in the GC worker pool (spinning inside pause brackets,
+    # parking outside), termination races in the work-stealing pool,
+    # lock-free class lookups and the open-loop service engine (one generator
+    # feeding per-shard queues and workers) show up only in rare
+    # interleavings: repeat those suites.
+    echo "=== [$preset] dispatch, termination and service races (20 repeats)"
     ctest --preset "$preset" \
-      -R 'StealableQueue|WorkStealing|ClassRegistry|OpenLoopService|ShardedService|ConsistentHashRouter|Pacer' \
+      -R 'WorkerPool|StealableQueue|WorkStealing|ClassRegistry|OpenLoopService|ShardedService|ConsistentHashRouter|Pacer' \
       --repeat until-fail:20 --no-tests=error
   fi
 done

@@ -302,6 +302,7 @@ void CmsCollector::DoYoung(MutatorContext* ctx) {
     // roots and remset sources, live or not), so no liveness filter applies:
     // any surviving reference into the collection set is a genuine miss.
     uint64_t v0 = NowNs();
+    WorkerPool::PauseBracket bracket(workers_.get());
     CancellationToken verify_cancel;
     WatchdogPhaseScope vscope(watchdog_.get(), GcPhase::kVerify, &verify_cancel, &metrics_);
     ROLP_TRACE_SCOPE("gc", "gc.phase.verify");
@@ -548,6 +549,9 @@ void CmsCollector::RemarkAndSweep(uint64_t t0) {
 }
 
 void CmsCollector::DoFull(uint64_t t0) {
+  // Compaction and verification are CMS's only pause work on the workers;
+  // the scavenge and remark run on the pause thread.
+  WorkerPool::PauseBracket bracket(workers_.get());
   PreparePause();
   // Abandon any in-flight concurrent cycle; compaction recomputes liveness.
   {

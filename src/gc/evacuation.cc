@@ -104,6 +104,9 @@ Object* EvacuationTask::Worker::EvacuateOrForward(Object* obj) {
 }
 
 void EvacuationTask::Worker::Emit(Object* obj) {
+  if (!task_->heap_->HasRefSlots(obj)) {
+    return;  // a scan would visit no slot
+  }
   if (task_->pool_ != nullptr) {
     task_->pool_->Push(worker_id_, obj);
   } else {
@@ -299,6 +302,9 @@ char* EvacuationTask::AllocShared(int space, size_t bytes) {
 }
 
 void EvacuationTask::Inject(Object* obj) {
+  if (!heap_->HasRefSlots(obj)) {
+    return;  // a scan would visit no slot
+  }
   // Count before publishing (eagerly: a mutator holds no termination
   // credit): a worker that pops the item calls FinishOne(w), and the pool's
   // outstanding counter must never dip below the number of

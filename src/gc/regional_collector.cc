@@ -214,10 +214,14 @@ bool RegionalCollector::TryCollect(MutatorContext* ctx, bool force_full) {
     safepoints_->EndOperation(ctx);
     return true;
   }
-  if (force_full) {
-    DoFull(NowNs());
-  } else {
-    DoYoungOrMixed(ctx);
+  {
+    // Opened before PreparePause so the workers' one wake-up overlaps it.
+    WorkerPool::PauseBracket bracket(workers_.get());
+    if (force_full) {
+      DoFull(NowNs());
+    } else {
+      DoYoungOrMixed(ctx);
+    }
   }
   safepoints_->EndOperation(ctx);
   return true;
@@ -553,7 +557,9 @@ void RegionalCollector::DoYoungOrMixed(MutatorContext* ctx) {
             if (trust_marks && !bitmap_.IsMarked(obj)) {
               return;  // precise: skip dead objects when marks are fresh
             }
-            pool.Push(w, obj);
+            if (heap_->HasRefSlots(obj)) {
+              pool.Push(w, obj);
+            }
           });
         }
         pool.FinishOne(w);
@@ -798,7 +804,9 @@ void RegionalCollector::ConcurrentDriver() {
             if (c.trust_marks && !bitmap_.IsMarked(obj)) {
               return;  // precise: skip dead objects when marks are fresh
             }
-            c.pool.Push(w, obj);
+            if (heap_->HasRefSlots(obj)) {
+              c.pool.Push(w, obj);
+            }
           });
         } else {
           // Scrub units: dead objects are unreachable, so the free-block
@@ -839,7 +847,10 @@ void RegionalCollector::ConcurrentDriver() {
   // always converges.
   while (!safepoints_->BeginOperation(&dctx)) {
   }
-  FinishConcurrentCycle();
+  {
+    WorkerPool::PauseBracket bracket(workers_.get());
+    FinishConcurrentCycle();
+  }
   safepoints_->EndOperation(&dctx);
   {
     // Empty critical section orders the notify after any in-flight waiter's
@@ -1064,7 +1075,10 @@ void RegionalCollector::CollectFull(MutatorContext* ctx) {
     }
     safepoints_->EndOperation(ctx);
   }
-  DoFull(NowNs());
+  {
+    WorkerPool::PauseBracket bracket(workers_.get());
+    DoFull(NowNs());
+  }
   safepoints_->EndOperation(ctx);
 }
 

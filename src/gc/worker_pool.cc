@@ -7,12 +7,31 @@
 #include "src/util/clock.h"
 #include "src/util/fault_injection.h"
 #include "src/util/log.h"
+#include "src/util/spinlock.h"
 
 namespace rolp {
 
 namespace {
 
 std::atomic<uint64_t> g_detached_workers_total{0};
+
+// How often a waiting RunTask requeues the items of dead workers.
+constexpr uint64_t kReclaimPollNs = 10 * 1000 * 1000;
+// Spinners yield this often so that, with more threads than CPUs, the thread
+// they wait on still gets to run.
+constexpr uint32_t kSpinsPerYield = 64;
+
+// Spins while keep_spinning() holds, pausing the core between checks.
+template <typename Pred>
+void SpinWhile(Pred keep_spinning) {
+  for (uint32_t i = 1; keep_spinning(); i++) {
+    if (i % kSpinsPerYield == 0) {
+      std::this_thread::yield();
+    } else {
+      CpuRelax();
+    }
+  }
+}
 
 }  // namespace
 
@@ -34,6 +53,7 @@ WorkerPool::~WorkerPool() {
   {
     std::lock_guard<std::mutex> guard(s.mu);
     s.shutdown = true;
+    s.epoch.fetch_add(1, std::memory_order_release);
   }
   s.cv_work.notify_all();
   s.cv_done.notify_all();  // wake an in-flight RunTask so it can abandon
@@ -94,7 +114,10 @@ uint32_t WorkerPool::ReclaimAbandonedLocked(PoolState& s) {
       reclaimed++;
     }
   }
-  s.requeued_total += reclaimed;
+  if (reclaimed > 0) {
+    s.requeued_total += reclaimed;
+    s.epoch.fetch_add(1, std::memory_order_release);
+  }
   return reclaimed;
 }
 
@@ -132,6 +155,38 @@ uint64_t WorkerPool::items_requeued() const {
   return s.requeued_total;
 }
 
+uint64_t WorkerPool::dispatches() const {
+  PoolState& s = *state_;
+  std::lock_guard<std::mutex> guard(s.mu);
+  return s.dispatches;
+}
+
+uint64_t WorkerPool::parks() const {
+  PoolState& s = *state_;
+  std::lock_guard<std::mutex> guard(s.mu);
+  return s.parks;
+}
+
+WorkerPool::PauseBracket::PauseBracket(WorkerPool* pool) : pool_(pool) {
+  PoolState& s = *pool_->state_;
+  bool first;
+  {
+    std::lock_guard<std::mutex> guard(s.mu);
+    first = s.pause_depth++ == 0;
+  }
+  if (first) {
+    s.cv_work.notify_all();
+  }
+}
+
+WorkerPool::PauseBracket::~PauseBracket() {
+  PoolState& s = *pool_->state_;
+  std::lock_guard<std::mutex> guard(s.mu);
+  if (--s.pause_depth == 0) {
+    s.epoch.fetch_add(1, std::memory_order_release);  // spinning workers go park
+  }
+}
+
 void WorkerPool::RunTask(const std::function<void(uint32_t)>& task) {
   // Copy the shared state handle and size up front: if the pool is destroyed
   // while this dispatch is abandoned at shutdown, `this` may dangle but the
@@ -142,28 +197,47 @@ void WorkerPool::RunTask(const std::function<void(uint32_t)>& task) {
   std::unique_lock<std::mutex> lock(s.mu);
   ROLP_CHECK(s.task == nullptr);
   s.task = &task;
-  s.completed = 0;
+  s.completed.store(0, std::memory_order_relaxed);
   s.total_items = n;
   s.items_cpu_ns = 0;
   s.pending.clear();
   for (uint32_t w = n; w > 0; w--) {
     s.pending.push_back(w - 1);  // pop_back claims ascending ids
   }
-  s.cv_work.notify_all();
+  s.dispatches++;
+  s.epoch.fetch_add(1, std::memory_order_release);  // spinning workers
+  s.cv_work.notify_all();                            // parked workers
 
-  while (s.completed < s.total_items) {
-    s.cv_done.wait_for(lock, std::chrono::milliseconds(10),
-                       [&] { return s.completed >= s.total_items || s.shutdown; });
-    if (s.completed >= s.total_items) {
-      break;
-    }
+  uint64_t poll_at = NowNs() + kReclaimPollNs;
+  while (s.completed.load(std::memory_order_relaxed) < s.total_items) {
     if (s.shutdown) {
       // Pool is being destroyed under us (a worker is wedged and the owner
       // gave up): abandon the dispatch rather than wait forever.
       ROLP_LOG_WARN("WorkerPool: shutdown during dispatch; abandoning %u incomplete item(s)",
-                    s.total_items - s.completed);
+                    s.total_items - s.completed.load(std::memory_order_relaxed));
       break;
     }
+    uint64_t now = NowNs();
+    if (now < poll_at) {
+      if (s.pause_depth > 0) {
+        // Inside a pause: spin until the items complete, the pool's state
+        // changes, or the dead-worker poll is due.
+        const uint64_t seen = s.epoch.load(std::memory_order_relaxed);
+        const uint32_t total = s.total_items;
+        lock.unlock();
+        SpinWhile([&] {
+          return s.completed.load(std::memory_order_acquire) < total &&
+                 s.epoch.load(std::memory_order_acquire) == seen && NowNs() < poll_at;
+        });
+        lock.lock();
+      } else {
+        s.cv_done.wait_for(lock, std::chrono::nanoseconds(poll_at - now), [&] {
+          return s.completed.load(std::memory_order_relaxed) >= s.total_items || s.shutdown;
+        });
+      }
+      continue;
+    }
+    poll_at = now + kReclaimPollNs;
     // Dead workers abandon their claimed item; hand it to survivors.
     if (ReclaimAbandonedLocked(s) > 0) {
       s.cv_work.notify_all();
@@ -180,7 +254,7 @@ void WorkerPool::RunTask(const std::function<void(uint32_t)>& task) {
         lock.unlock();
         task(item);
         lock.lock();
-        s.completed++;
+        s.completed.fetch_add(1, std::memory_order_relaxed);
       }
     }
   }
@@ -218,26 +292,36 @@ void WorkerPool::ParallelFor(size_t count, size_t chunk,
 
 void WorkerPool::WorkerLoop(std::shared_ptr<PoolState> state, uint32_t thread_index) {
   PoolState& s = *state;
+  std::unique_lock<std::mutex> lock(s.mu);
   while (true) {
-    uint32_t item = 0;
-    const std::function<void(uint32_t)>* task = nullptr;
-    {
-      std::unique_lock<std::mutex> lock(s.mu);
-      s.cv_work.wait(lock, [&] {
-        return s.shutdown || (s.task != nullptr && !s.pending.empty());
-      });
-      if (s.shutdown) {
-        s.alive[thread_index] = false;
-        s.exited[thread_index] = true;
-        lock.unlock();
-        s.cv_exit.notify_all();
-        return;
-      }
-      item = s.pending.back();
-      s.pending.pop_back();
-      s.current_item[thread_index] = item;
-      task = s.task;
+    if (s.shutdown) {
+      s.alive[thread_index] = false;
+      s.exited[thread_index] = true;
+      lock.unlock();
+      s.cv_exit.notify_all();
+      return;
     }
+    if (s.task == nullptr || s.pending.empty()) {
+      if (s.pause_depth > 0) {
+        // Inside a pause: stay hot until the next dispatch, requeue, the
+        // bracket closing or shutdown.
+        const uint64_t seen = s.epoch.load(std::memory_order_relaxed);
+        lock.unlock();
+        SpinWhile([&] { return s.epoch.load(std::memory_order_acquire) == seen; });
+        lock.lock();
+      } else {
+        s.parks++;
+        s.cv_work.wait(lock, [&] {
+          return s.shutdown || s.pause_depth > 0 || (s.task != nullptr && !s.pending.empty());
+        });
+      }
+      continue;
+    }
+    uint32_t item = s.pending.back();
+    s.pending.pop_back();
+    s.current_item[thread_index] = item;
+    const std::function<void(uint32_t)>* task = s.task;
+    lock.unlock();
     if (ROLP_FAULT_POINT("gc.worker.stall")) {
       // Simulated straggler: the pause waits for this worker's stall.
       std::this_thread::sleep_for(std::chrono::milliseconds(1));
@@ -257,13 +341,13 @@ void WorkerPool::WorkerLoop(std::shared_ptr<PoolState> state, uint32_t thread_in
     uint64_t cpu0 = ThreadCpuNs();
     (*task)(item);
     uint64_t cpu_ns = ThreadCpuNs() - cpu0;
-    {
-      std::lock_guard<std::mutex> guard(s.mu);
-      s.current_item[thread_index] = -1;
-      s.completed++;
-      s.items_cpu_ns += cpu_ns;
-    }
+    lock.lock();
+    s.current_item[thread_index] = -1;
+    s.items_cpu_ns += cpu_ns;
+    s.completed.fetch_add(1, std::memory_order_release);
+    lock.unlock();
     s.cv_done.notify_all();
+    lock.lock();
   }
 }
 

@@ -18,6 +18,14 @@
 //    detached and reported instead of deadlocking the VM. All shared state
 //    lives in a shared_ptr owned jointly by the pool and every worker thread,
 //    so a detached straggler can never touch freed memory.
+//
+// Pause brackets: a collector opens a PauseBracket for the length of a
+// stop-the-world pause. Opening it wakes the workers once; until it closes
+// they spin between items instead of parking, and RunTask spin-waits on the
+// completion count instead of sleeping on a condvar, so the pause's
+// back-to-back phases pay no wake-ups. Closing it parks the workers at once.
+// Dispatches outside a bracket (the concurrent-evacuation driver, tests)
+// park and wake as before.
 #ifndef SRC_GC_WORKER_POOL_H_
 #define SRC_GC_WORKER_POOL_H_
 
@@ -92,6 +100,24 @@ class WorkerPool {
 
   uint32_t size() const { return num_workers_; }
 
+  // Keeps the workers hot for the length of a stop-the-world pause (see the
+  // file comment). Brackets nest; the outermost one wakes and parks.
+  class PauseBracket {
+   public:
+    explicit PauseBracket(WorkerPool* pool);
+    ~PauseBracket();
+    PauseBracket(const PauseBracket&) = delete;
+    PauseBracket& operator=(const PauseBracket&) = delete;
+
+   private:
+    WorkerPool* pool_;
+  };
+
+  // RunTask calls that reached the workers (ParallelFor calls run inline do
+  // not count), and times a worker went to sleep on its condvar.
+  uint64_t dispatches() const;
+  uint64_t parks() const;
+
   // --- Heartbeats (watchdog) ----------------------------------------------
   // When disabled (default), Heartbeat is a single relaxed load + branch.
   void EnableHeartbeats(bool on);
@@ -136,21 +162,29 @@ class WorkerPool {
     explicit PoolState(uint32_t n);
 
     mutable std::mutex mu;
-    std::condition_variable cv_work;   // workers: new items or shutdown
+    std::condition_variable cv_work;   // workers: new items, pause or shutdown
     std::condition_variable cv_done;   // RunTask: progress made
     std::condition_variable cv_exit;   // destructor: a worker exited
 
     // Guarded by mu.
     const std::function<void(uint32_t)>* task = nullptr;
     std::vector<uint32_t> pending;     // unclaimed item ids
-    uint32_t completed = 0;
     uint32_t total_items = 0;
     uint64_t items_cpu_ns = 0;         // worker-thread CPU of this dispatch
     bool shutdown = false;
+    uint32_t pause_depth = 0;          // open PauseBrackets
     std::vector<bool> alive;           // per worker thread
     std::vector<bool> exited;          // per worker thread (left WorkerLoop)
     std::vector<int64_t> current_item; // per worker thread, -1 = none
     uint64_t requeued_total = 0;
+    uint64_t dispatches = 0;
+    uint64_t parks = 0;
+
+    // Written under mu, read lock-free by spinning threads.
+    std::atomic<uint32_t> completed{0};
+    // Bumped under mu on every change a spinning thread must act on: a
+    // dispatch, a requeue, a bracket closing, shutdown.
+    std::atomic<uint64_t> epoch{0};
 
     // Lock-free.
     std::atomic<bool> heartbeats_enabled{false};

@@ -575,6 +575,7 @@ void ZgcCollector::FinishCycle(MutatorContext* ctx) {
   }
   if (verify_options_.enabled() && !doomed.empty()) {
     uint64_t v0 = NowNs();
+    WorkerPool::PauseBracket bracket(workers_.get());
     CancellationToken verify_cancel;
     WatchdogPhaseScope vscope(watchdog_.get(), GcPhase::kVerify, &verify_cancel, &metrics_);
     ROLP_TRACE_SCOPE("gc", "gc.phase.verify");
@@ -636,6 +637,8 @@ void ZgcCollector::DoFull(MutatorContext* ctx) {
   {
     // ZGC's concurrent mark/relocate phases are mutator-paced increments and
     // are not watchdog-timed; only the STW compaction fallback is (rung 5).
+    // Compaction and verification are ZGC's only pause work on the workers.
+    WorkerPool::PauseBracket bracket(workers_.get());
     WatchdogPhaseScope scope(watchdog_.get(), GcPhase::kCompact, nullptr, &metrics_);
     (void)ROLP_FAULT_POINT("gc.phase.compact.stall");
     moved = compactor.Collect(safepoints_, workers_.get());

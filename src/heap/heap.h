@@ -110,6 +110,18 @@ class Heap {
   // after phase changes.
   void RefreshBarrierMode();
 
+  // False for objects with no reference slot to visit: free blocks, data
+  // arrays and instances without reference fields. Collectors skip queueing
+  // such objects for a referent scan.
+  bool HasRefSlots(const Object* obj) const {
+    if (obj->class_id == kFreeBlockClassId) {
+      return false;
+    }
+    const ClassInfo& info = classes_->Get(obj->class_id);
+    return info.kind == ClassKind::kRefArray ||
+           (info.kind == ClassKind::kInstance && !info.ref_offsets.empty());
+  }
+
   // Iterates the reference slots of an object according to its class.
   template <typename Fn>
   void ForEachRefSlot(Object* obj, Fn&& fn) {

@@ -307,6 +307,10 @@ void VM::RegisterMetrics() {
   m.Gauge("gc.remap_cpu_ns", [&gm] { return static_cast<double>(gm.RemapCpuNs()); });
   m.Gauge("gc.concurrent_work_ns",
           [&gm] { return static_cast<double>(gm.ConcurrentWorkNs()); });
+  m.Gauge("gc.max_worker_share", [&gm] { return gm.MaxWorkerCopiedShare(); });
+  WorkerPool* pool = collector_->workers();
+  m.Gauge("gc.pool.dispatches", [pool] { return static_cast<double>(pool->dispatches()); });
+  m.Gauge("gc.pool.parks", [pool] { return static_cast<double>(pool->parks()); });
   if (config_.gc == GcKind::kG1 || config_.gc == GcKind::kNg2c ||
       config_.gc == GcKind::kRolp) {
     auto* rc = static_cast<RegionalCollector*>(collector_.get());

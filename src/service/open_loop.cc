@@ -630,8 +630,9 @@ void PrintServiceReport(std::FILE* out, const ServiceResult& r) {
   };
   print_segment("sched->enqueue", s.seg_sched_to_enqueue);
   print_segment("queue-wait", s.seg_queue_wait);
+  // No respond line: a service worker responds when execution ends, so
+  // that segment always reads 0 here.
   print_segment("execute", s.seg_execute);
-  print_segment("respond", s.seg_respond);
 }
 
 }  // namespace rolp

@@ -4,6 +4,10 @@
 
 #include <cstdlib>
 
+#include "src/runtime/thread.h"
+#include "src/runtime/vm.h"
+#include "src/util/metrics_registry.h"
+
 namespace rolp {
 namespace {
 
@@ -117,6 +121,44 @@ TEST(GcMetricsTest, ResetClearsRingAndAggregates) {
   ASSERT_EQ(m.Pauses().size(), 1u);
   EXPECT_EQ(m.Pauses()[0].start_ns, 9u);
   EXPECT_EQ(m.PauseCount(), 1u);
+}
+
+// The VM publishes the largest single-worker share of copied bytes as
+// gc.max_worker_share, read straight from GcMetrics.
+TEST(GcMetricsTest, VmPublishesMaxWorkerShare) {
+  VmConfig cfg;
+  cfg.heap_mb = 32;
+  cfg.gc = GcKind::kG1;
+  cfg.gc_config.num_workers = 2;
+  cfg.metrics_prefix = "max_share_test.";
+  VM vm(cfg);
+  RuntimeThread* thread = vm.AttachThread();
+  {
+    // Live objects for the young GC to copy.
+    HandleScope scope(*thread);
+    Local list = thread->NewLocal(thread->AllocateRefArray(RuntimeThread::kNoSite, 512));
+    for (uint64_t i = 0; i < 512; i++) {
+      Object* data = thread->AllocateDataArray(RuntimeThread::kNoSite, 256);
+      ASSERT_NE(data, nullptr);
+      thread->StoreElem(list.get(), i, data);
+    }
+    const uint64_t cycles_before = vm.collector().metrics().GcCycles();
+    while (vm.collector().metrics().GcCycles() == cycles_before) {
+      ASSERT_NE(thread->AllocateDataArray(RuntimeThread::kNoSite, 8192), nullptr);
+    }
+  }
+  const double expected = vm.collector().metrics().MaxWorkerCopiedShare();
+  double published = -1.0;
+  for (const auto& [name, value] : MetricsRegistry::Instance().Collect().gauges) {
+    if (name == "max_share_test.gc.max_worker_share") {
+      published = value;
+    }
+  }
+  EXPECT_DOUBLE_EQ(published, expected);
+  // Two workers: the larger share is at least half of everything copied.
+  EXPECT_GE(published, 0.5);
+  EXPECT_LE(published, 1.0);
+  vm.DetachThread(thread);
 }
 
 }  // namespace

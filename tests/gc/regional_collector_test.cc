@@ -4,6 +4,7 @@
 
 #include <thread>
 
+#include "src/gc/heap_verifier.h"
 #include "tests/gc/gc_test_util.h"
 
 namespace rolp {
@@ -165,6 +166,122 @@ TEST_F(RegionalCollectorTest, CrossRegionReferenceSurvivesViaRemset) {
   Object* survived = env_->GetField(env_->Root(ra), 0);
   ASSERT_NE(survived, nullptr);
   EXPECT_EQ(*reinterpret_cast<uint64_t*>(survived->payload() + 8), 0xFEEDFACEu);
+}
+
+// Objects without reference slots are never queued for a referent scan.
+// A young GC over data arrays, ref-free instances, ref arrays and instances,
+// half of them reachable only through an old region's remembered set, keeps
+// every payload and every edge.
+TEST_F(RegionalCollectorTest, YoungGcKeepsLeafAndReferenceObjects) {
+  GcConfig cfg;
+  cfg.use_dynamic_gens = true;
+  cfg.num_workers = 2;
+  Start(32, cfg);
+  ClassId leaf_cls = env_->heap->classes().RegisterInstance("Leaf", 16, {});
+  constexpr uint64_t kSlots = 400;
+  size_t holders[2];
+  holders[0] = env_->PushRoot(env_->AllocRefArray(kSlots));
+  holders[1] = env_->PushRoot(env_->AllocRefArray(kSlots, kOldGenId));
+  ASSERT_EQ(env_->heap->regions().RegionFor(env_->Root(holders[1]))->kind(), RegionKind::kOld);
+
+  auto make_leaf = [&](uint64_t i) {
+    Object* leaf = env_->AllocInstance(leaf_cls);
+    *reinterpret_cast<uint64_t*>(leaf->payload()) = i * 7 + 1;
+    *reinterpret_cast<uint64_t*>(leaf->payload() + 8) = ~i;
+    return leaf;
+  };
+  auto make_data = [&](uint64_t i, uint8_t gen) {
+    Object* data = env_->AllocDataArray(40, gen);
+    FillPattern(data, static_cast<int>(i));
+    return data;
+  };
+  // Slot i of either holder: kind i % 5 is a data array, a ref-free instance,
+  // a ref array [leaf, data], a Node whose next is a leaf, or (old holder's
+  // only leaves inside the remset source itself) a pretenured data array.
+  const size_t base = env_->ctx.local_roots.size();
+  for (uint64_t i = 0; i < 2 * kSlots; i++) {
+    const uint64_t slot = i / 2;
+    const size_t holder = holders[i % 2];
+    Object* obj = nullptr;
+    switch (slot % 5) {
+      case 0:
+        obj = make_data(slot, kYoungGen);
+        break;
+      case 1:
+        obj = make_leaf(slot);
+        break;
+      case 2: {
+        size_t lr = env_->PushRoot(make_leaf(slot));
+        size_t dr = env_->PushRoot(make_data(slot, kYoungGen));
+        obj = env_->AllocRefArray(2);
+        env_->SetElem(obj, 0, env_->Root(lr));
+        env_->SetElem(obj, 1, env_->Root(dr));
+        break;
+      }
+      case 3: {
+        size_t lr = env_->PushRoot(make_leaf(slot));
+        obj = env_->AllocInstance(node_cls_);
+        env_->SetField(obj, 0, env_->Root(lr));
+        *reinterpret_cast<uint64_t*>(obj->payload() + 8) = slot;
+        break;
+      }
+      default:
+        obj = make_data(slot, kOldGenId);
+        break;
+    }
+    env_->SetElem(env_->Root(holder), slot, obj);
+    env_->PopRoots(base);
+  }
+
+  auto expect_leaf = [&](Object* leaf, uint64_t i) {
+    ASSERT_NE(leaf, nullptr);
+    EXPECT_EQ(*reinterpret_cast<uint64_t*>(leaf->payload()), i * 7 + 1);
+    EXPECT_EQ(*reinterpret_cast<uint64_t*>(leaf->payload() + 8), ~i);
+  };
+  auto expect_data = [&](Object* data, uint64_t i) {
+    ASSERT_NE(data, nullptr);
+    ASSERT_EQ(data->ArrayLength(), 40u);
+    const char* p = data->DataArrayBytes();
+    for (uint64_t j = 0; j < 40; j++) {
+      EXPECT_EQ(p[j], static_cast<char>((static_cast<int>(i) * 31 + static_cast<int>(j)) & 0xFF));
+    }
+  };
+  auto expect_graph = [&] {
+    for (size_t holder : holders) {
+      for (uint64_t slot = 0; slot < kSlots; slot++) {
+        Object* obj = env_->GetElem(env_->Root(holder), slot);
+        ASSERT_NE(obj, nullptr) << "slot " << slot;
+        switch (slot % 5) {
+          case 0:
+          case 4:
+            expect_data(obj, slot);
+            break;
+          case 1:
+            expect_leaf(obj, slot);
+            break;
+          case 2:
+            expect_leaf(env_->GetElem(obj, 0), slot);
+            expect_data(env_->GetElem(obj, 1), slot);
+            break;
+          default:
+            expect_leaf(env_->GetField(obj, 0), slot);
+            EXPECT_EQ(*reinterpret_cast<uint64_t*>(obj->payload() + 8), slot);
+            break;
+        }
+      }
+    }
+  };
+  expect_graph();
+
+  const uint64_t cycles_before = env_->collector->metrics().GcCycles();
+  const uint64_t copied_before = env_->collector->metrics().BytesCopied();
+  env_->ChurnYoung(16 * 1024 * 1024);
+  EXPECT_GT(env_->collector->metrics().GcCycles(), cycles_before);
+  EXPECT_GT(env_->collector->metrics().BytesCopied(), copied_before);
+  expect_graph();
+  HeapVerifier verifier(env_->heap.get(), &env_->safepoints);
+  HeapVerifier::Report report = verifier.Verify();
+  EXPECT_TRUE(report.ok()) << report.Summary();
 }
 
 TEST_F(RegionalCollectorTest, PretenuredAllocationTargetsDynamicGen) {

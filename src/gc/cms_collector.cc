@@ -1,8 +1,5 @@
 #include "src/gc/cms_collector.h"
 
-#include <algorithm>
-#include <mutex>
-
 #include "src/gc/mark_compact.h"
 #include "src/util/clock.h"
 #include "src/util/fault_injection.h"
@@ -18,7 +15,8 @@ constexpr size_t kConcurrentWorkPerRefill = 256 * 1024;  // bytes of marking per
 
 CmsCollector::CmsCollector(Heap* heap, const GcConfig& config, SafepointManager* safepoints)
     : Collector(heap, config, safepoints),
-      bitmap_(heap->regions().heap_base(), heap->regions().committed_bytes()) {
+      bitmap_(heap->regions().heap_base(), heap->regions().committed_bytes()),
+      marker_(heap, &bitmap_) {
   size_t total = heap->regions().num_regions();
   eden_target_ = config_.young_regions != 0
                      ? config_.young_regions
@@ -207,10 +205,9 @@ void CmsCollector::DoYoung(MutatorContext* ctx) {
     }
     if (cycle_active) {
       if (promote) {
-        // Promoted objects enter the old space mid-cycle: allocate black and
-        // re-queue so their fields get traced.
-        bitmap_.Mark(copy);
-        gray_queue_.push_back(copy);
+        // Promoted objects enter the old space mid-cycle: gray them so the
+        // marker marks them and traces their fields.
+        marker_.BarrierPush(copy);
       } else if (bitmap_.IsMarked(obj)) {
         bitmap_.Mark(copy);
       }
@@ -239,13 +236,8 @@ void CmsCollector::DoYoung(MutatorContext* ctx) {
     }
   };
 
-  // Roots.
-  heap_->roots().ForEach([&](std::atomic<Object*>* slot) { process_slot(slot, nullptr); });
-  safepoints_->ForEachThread([&](MutatorContext* t) {
-    for (auto& slot : t->local_roots) {
-      process_slot(&slot, nullptr);
-    }
-  });
+  ForEachRootSlot(heap_->roots(), safepoints_,
+                  [&](std::atomic<Object*>* slot) { process_slot(slot, nullptr); });
   // Remembered-set sources.
   std::vector<bool> seen(regions.num_regions(), false);
   for (Region* r : cset) {
@@ -274,7 +266,7 @@ void CmsCollector::DoYoung(MutatorContext* ctx) {
 
   // The concurrent cycle's worklists may reference moved objects.
   if (cycle_active) {
-    RemapMarkStructures();
+    marker_.RemapWorklists();
   }
   for (auto& [obj, mark] : preserved) {
     obj->StoreMark(mark);
@@ -351,125 +343,23 @@ void CmsCollector::DoYoung(MutatorContext* ctx) {
 }
 
 void CmsCollector::MaybeStartCycleLocked() {
-  // Initial mark (piggybacked on the young pause): clear marks, reset old
-  // live accounting, gray all roots.
-  bitmap_.ClearAll();
-  heap_->regions().ForEachRegion([](Region* r) {
-    if (!r->IsFree()) {
-      r->set_live_bytes(0);
-    }
-  });
-  std::lock_guard<SpinLock> guard(gray_lock_);
-  heap_->roots().ForEach([&](std::atomic<Object*>* slot) {
-    Object* v = slot->load(std::memory_order_relaxed);
-    if (v != nullptr) {
-      gray_queue_.push_back(v);
-    }
-  });
-  safepoints_->ForEachThread([&](MutatorContext* t) {
-    for (auto& slot : t->local_roots) {
-      Object* v = slot.load(std::memory_order_relaxed);
-      if (v != nullptr) {
-        gray_queue_.push_back(v);
-      }
-    }
-  });
+  // Initial mark, piggybacked on the young pause.
+  marker_.Start(safepoints_);
   phase_.store(Phase::kMarking, std::memory_order_release);
 }
 
 void CmsCollector::ConcurrentWork(size_t budget_bytes) {
-  if (!work_lock_.try_lock()) {
-    return;
-  }
   uint64_t t0 = NowNs();
-  size_t traced = 0;
-  while (traced < budget_bytes && phase_.load(std::memory_order_relaxed) == Phase::kMarking) {
-    if (mark_stack_.empty()) {
-      std::lock_guard<SpinLock> guard(gray_lock_);
-      if (gray_queue_.empty()) {
-        // Tentatively done; the remark pause will confirm.
-        phase_.store(Phase::kSweepPending, std::memory_order_release);
-        break;
-      }
-      for (Object* obj : gray_queue_) {
-        if (bitmap_.Mark(obj)) {
-          heap_->regions().RegionFor(obj)->AddLiveBytes(obj->size_bytes);
-          mark_stack_.push_back(obj);
-        }
-      }
-      gray_queue_.clear();
-      continue;
-    }
-    Object* obj = mark_stack_.back();
-    mark_stack_.pop_back();
-    traced += obj->size_bytes;
-    heap_->ForEachRefSlot(obj, [&](std::atomic<Object*>* slot) {
-      Object* v = slot->load(std::memory_order_relaxed);
-      if (v != nullptr && bitmap_.Mark(v)) {
-        heap_->regions().RegionFor(v)->AddLiveBytes(v->size_bytes);
-        mark_stack_.push_back(v);
-      }
-    });
+  if (marker_.Step(budget_bytes)) {
+    // Tentatively done; the remark pause will confirm.
+    Phase expected = Phase::kMarking;
+    phase_.compare_exchange_strong(expected, Phase::kSweepPending, std::memory_order_acq_rel);
   }
   metrics_.AddConcurrentWorkNs(NowNs() - t0);
-  work_lock_.unlock();
-}
-
-void CmsCollector::RemapMarkStructures() {
-  // Runs inside the young pause, before collection-set regions are freed:
-  // forwarded entries follow their objects; unforwarded entries still inside
-  // the collection set are dead young objects and are dropped (incremental-
-  // update marking does not need to trace from dead sources).
-  RegionManager& regions = heap_->regions();
-  auto remap = [&](std::vector<Object*>& vec) {
-    size_t out = 0;
-    for (Object* obj : vec) {
-      uint64_t m = obj->LoadMark();
-      if (markword::IsForwarded(m)) {
-        Object* to = markword::ForwardedPtr(m);
-        if (to != obj) {
-          vec[out++] = to;
-          continue;
-        }
-        // Self-forwarded (evacuation failure): stays in place, keep it.
-        vec[out++] = obj;
-        continue;
-      }
-      if (regions.RegionFor(obj)->in_cset()) {
-        continue;  // dead young object; drop
-      }
-      vec[out++] = obj;
-    }
-    vec.resize(out);
-  };
-  std::lock_guard<SpinLock> guard(gray_lock_);
-  remap(gray_queue_);
-  remap(mark_stack_);
 }
 
 void CmsCollector::RemarkAndSweep(uint64_t t0) {
-  // Final remark: rescan roots, drain everything (world is stopped).
-  {
-    std::lock_guard<SpinLock> guard(gray_lock_);
-    heap_->roots().ForEach([&](std::atomic<Object*>* slot) {
-      Object* v = slot->load(std::memory_order_relaxed);
-      if (v != nullptr) {
-        gray_queue_.push_back(v);
-      }
-    });
-    safepoints_->ForEachThread([&](MutatorContext* t) {
-      for (auto& slot : t->local_roots) {
-        Object* v = slot.load(std::memory_order_relaxed);
-        if (v != nullptr) {
-          gray_queue_.push_back(v);
-        }
-      }
-    });
-  }
-  phase_.store(Phase::kMarking, std::memory_order_relaxed);
-  while (phase_.load(std::memory_order_relaxed) == Phase::kMarking) {
-    ConcurrentWork(SIZE_MAX / 2);
-  }
+  marker_.Remark(safepoints_);
 
   // Sweep: rebuild the free lists from the marks; fully dead regions are
   // returned whole.
@@ -554,11 +444,7 @@ void CmsCollector::DoFull(uint64_t t0) {
   WorkerPool::PauseBracket bracket(workers_.get());
   PreparePause();
   // Abandon any in-flight concurrent cycle; compaction recomputes liveness.
-  {
-    std::lock_guard<SpinLock> guard(gray_lock_);
-    gray_queue_.clear();
-  }
-  mark_stack_.clear();
+  marker_.Abandon();
   phase_.store(Phase::kIdle, std::memory_order_relaxed);
   old_space_.Clear();
 

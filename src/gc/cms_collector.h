@@ -13,6 +13,7 @@
 #include "src/gc/collector.h"
 #include "src/gc/free_list_space.h"
 #include "src/gc/mark_bitmap.h"
+#include "src/gc/marking.h"
 
 namespace rolp {
 
@@ -32,13 +33,9 @@ class CmsCollector : public Collector {
   FreeListSpace& old_space() { return old_space_; }
   uint64_t full_gcs() const { return full_gcs_.load(std::memory_order_relaxed); }
 
-  // Write-barrier hook (installed via CmsBarrierSet).
-  void MarkingBarrier(Object* value) {
-    if (phase_.load(std::memory_order_relaxed) == Phase::kMarking && value != nullptr) {
-      std::lock_guard<SpinLock> guard(gray_lock_);
-      gray_queue_.push_back(value);
-    }
-  }
+  // Write-barrier hook (installed via CmsBarrierSet): armed from initial mark
+  // until the remark drain ends, including the kSweepPending window.
+  void MarkingBarrier(Object* value) { marker_.BarrierPush(value); }
 
  private:
   friend class CmsBarrierSet;
@@ -55,7 +52,6 @@ class CmsCollector : public Collector {
   void MaybeStartCycleLocked();   // world stopped: initial root scan
   void ConcurrentWork(size_t budget_bytes);  // mutator-driven slices
   void RemarkAndSweep(uint64_t t0);          // world stopped
-  void RemapMarkStructures();     // after young evacuation moved objects
 
   double TenuredOccupancy() const;
 
@@ -65,11 +61,8 @@ class CmsCollector : public Collector {
   FreeListSpace old_space_;
   MarkBitmap bitmap_;
 
+  Marker marker_;  // incremental mode: the concurrent old-space mark
   std::atomic<Phase> phase_{Phase::kIdle};
-  SpinLock gray_lock_;
-  std::vector<Object*> gray_queue_;   // write-barrier + root grays
-  SpinLock work_lock_;                // serializes concurrent marking slices
-  std::vector<Object*> mark_stack_;   // owned by the marking worker
   std::atomic<uint64_t> full_gcs_{0};
 };
 

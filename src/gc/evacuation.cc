@@ -1,7 +1,6 @@
 #include "src/gc/evacuation.h"
 
 #include <atomic>
-#include <cstring>
 #include <mutex>
 
 #include "src/util/fault_injection.h"
@@ -70,17 +69,7 @@ Object* EvacuationTask::Worker::EvacuateOrForward(Object* obj) {
       }
       continue;  // lost the race; retry (winner forwarded it)
     }
-    // Speculative copy: a racing worker may win the forwarding CAS and write
-    // obj's mark word (and, once forwarded, heal its ref slots) while we are
-    // still reading the source. Our copy is discarded when the CAS below
-    // fails, so stale words are harmless, but the reads must be atomic to be
-    // well-defined: objects are 8-byte aligned and sized, so copy in relaxed
-    // 8-byte words instead of memcpy.
-    uint64_t* src_words = reinterpret_cast<uint64_t*>(obj);
-    uint64_t* dst_words = reinterpret_cast<uint64_t*>(to);
-    for (size_t w = 0; w < size / sizeof(uint64_t); w++) {
-      dst_words[w] = std::atomic_ref<uint64_t>(src_words[w]).load(std::memory_order_relaxed);
-    }
+    CopyObjectWords(to, obj, size);
     Object* copy = reinterpret_cast<Object*>(to);
     copy->StoreMark(new_mark);
     if (obj->mark.compare_exchange_strong(m, markword::EncodeForwarded(copy),
@@ -248,14 +237,7 @@ Object* EvacuationTask::MutatorHeal(Object* obj) {
       }
       continue;  // lost the race; retry (winner forwarded it)
     }
-    // Same speculative word-wise copy as the worker path: racing copiers may
-    // mutate the source mark while we read, and our copy is discarded if the
-    // CAS below fails.
-    uint64_t* src_words = reinterpret_cast<uint64_t*>(obj);
-    uint64_t* dst_words = reinterpret_cast<uint64_t*>(to);
-    for (size_t w = 0; w < size / sizeof(uint64_t); w++) {
-      dst_words[w] = std::atomic_ref<uint64_t>(src_words[w]).load(std::memory_order_relaxed);
-    }
+    CopyObjectWords(to, obj, size);
     Object* copy = reinterpret_cast<Object*>(to);
     copy->StoreMark(new_mark);
     if (obj->mark.compare_exchange_strong(m, markword::EncodeForwarded(copy),

@@ -129,6 +129,20 @@ bool HeapVerifier::PlausibleObject(Object* obj, Report* report, const char* what
   return true;
 }
 
+bool HeapVerifier::PlausibleTarget(Object* obj, Report* report, const char* what) {
+  if (!PlausibleObject(obj, report, what)) {
+    return false;
+  }
+  if (obj->class_id == kFreeBlockClassId) {
+    Finding f;
+    f.kind = Finding::Kind::kDanglingRef;
+    f.detail = Fmt("free block %p (%s)", obj, what);
+    report->Add(std::move(f));
+    return false;
+  }
+  return true;
+}
+
 void HeapVerifier::VerifyObjectRefs(Object* obj, Region* region, Report* report) {
   heap_->ForEachRefSlot(obj, [&](std::atomic<Object*>* slot) {
     Object* v = slot->load(std::memory_order_relaxed);
@@ -136,7 +150,7 @@ void HeapVerifier::VerifyObjectRefs(Object* obj, Region* region, Report* report)
       return;
     }
     report->refs_checked++;
-    if (!PlausibleObject(v, report, "field target")) {
+    if (!PlausibleTarget(v, report, "field target")) {
       return;
     }
     if (markword::IsForwarded(v->LoadMark())) {
@@ -226,13 +240,13 @@ HeapVerifier::Report HeapVerifier::Verify() {
     VerifyRegion(r, &report);
   });
   // Roots point at plausible, unforwarded objects.
-  auto check_root = [&](std::atomic<Object*>* slot, const char* what) {
+  auto check_root = [&](std::atomic<Object*>* slot) {
     Object* v = slot->load(std::memory_order_relaxed);
     if (v == nullptr) {
       return;
     }
     report.refs_checked++;
-    if (!PlausibleObject(v, &report, what)) {
+    if (!PlausibleTarget(v, &report, "root")) {
       report.findings.back().kind = Finding::Kind::kRootCorrupt;
       return;
     }
@@ -243,14 +257,7 @@ HeapVerifier::Report HeapVerifier::Verify() {
       report.Add(std::move(f));
     }
   };
-  heap_->roots().ForEach([&](std::atomic<Object*>* slot) { check_root(slot, "global root"); });
-  if (safepoints_ != nullptr) {
-    safepoints_->ForEachThread([&](MutatorContext* ctx) {
-      for (auto& slot : ctx->local_roots) {
-        check_root(&slot, "local root");
-      }
-    });
-  }
+  ForEachRootSlot(heap_->roots(), safepoints_, check_root);
   return report;
 }
 
@@ -330,13 +337,13 @@ HeapVerifier::Report HeapVerifier::VerifyPostMark(const MarkBitmap* bitmap,
         }
       });
   // Reachability spot check: everything a root names was just marked.
-  auto check_root = [&](std::atomic<Object*>* slot, const char* what) {
+  auto check_root = [&](std::atomic<Object*>* slot) {
     Object* v = slot->load(std::memory_order_relaxed);
     if (v == nullptr) {
       return;
     }
     report.refs_checked++;
-    if (!PlausibleObject(v, &report, what)) {
+    if (!PlausibleTarget(v, &report, "root")) {
       report.findings.back().kind = Finding::Kind::kRootCorrupt;
       return;
     }
@@ -349,14 +356,7 @@ HeapVerifier::Report HeapVerifier::VerifyPostMark(const MarkBitmap* bitmap,
       report.Add(std::move(f));
     }
   };
-  heap_->roots().ForEach([&](std::atomic<Object*>* slot) { check_root(slot, "global root"); });
-  if (safepoints_ != nullptr) {
-    safepoints_->ForEachThread([&](MutatorContext* ctx) {
-      for (auto& slot : ctx->local_roots) {
-        check_root(&slot, "local root");
-      }
-    });
-  }
+  ForEachRootSlot(heap_->roots(), safepoints_, check_root);
   return report;
 }
 
@@ -434,17 +434,9 @@ uint32_t HeapVerifier::CheckSlotAgainstDoomed(std::atomic<Object*>* slot,
 
 void HeapVerifier::CheckRootsAgainstDoomed(const std::vector<uint8_t>& doomed_map,
                                            Report* report) {
-  auto check_root = [&](std::atomic<Object*>* slot, const char* what) {
-    (void)CheckSlotAgainstDoomed(slot, nullptr, doomed_map, report, what);
-  };
-  heap_->roots().ForEach([&](std::atomic<Object*>* slot) { check_root(slot, "global root"); });
-  if (safepoints_ != nullptr) {
-    safepoints_->ForEachThread([&](MutatorContext* ctx) {
-      for (auto& slot : ctx->local_roots) {
-        check_root(&slot, "local root");
-      }
-    });
-  }
+  ForEachRootSlot(heap_->roots(), safepoints_, [&](std::atomic<Object*>* slot) {
+    (void)CheckSlotAgainstDoomed(slot, nullptr, doomed_map, report, "root");
+  });
 }
 
 HeapVerifier::Report HeapVerifier::VerifyCollectionSet(const std::vector<Region*>& doomed,
@@ -642,7 +634,7 @@ void HeapVerifier::WalkRegionChecked(Region* region, const VerifyOptions& opts, 
           }
           report->refs_checked++;
           size_t before_refs = report->findings.size();
-          if (!PlausibleObject(v, report, "field target")) {
+          if (!PlausibleTarget(v, report, "field target")) {
             if (repair) {
               // The target is gone; a null is the only safe value left.
               slot->store(nullptr, std::memory_order_relaxed);
@@ -704,13 +696,13 @@ HeapVerifier::Report HeapVerifier::VerifySampledWalk(WorkerPool* workers,
         WalkRegionChecked(r, opts, repair, local);
       });
   // Roots point at plausible, unforwarded objects (always checked).
-  auto check_root = [&](std::atomic<Object*>* slot, const char* what) {
+  auto check_root = [&](std::atomic<Object*>* slot) {
     Object* v = slot->load(std::memory_order_relaxed);
     if (v == nullptr) {
       return;
     }
     report.refs_checked++;
-    if (!PlausibleObject(v, &report, what)) {
+    if (!PlausibleTarget(v, &report, "root")) {
       report.findings.back().kind = Finding::Kind::kRootCorrupt;
       return;
     }
@@ -721,14 +713,7 @@ HeapVerifier::Report HeapVerifier::VerifySampledWalk(WorkerPool* workers,
       report.Add(std::move(f));
     }
   };
-  heap_->roots().ForEach([&](std::atomic<Object*>* slot) { check_root(slot, "global root"); });
-  if (safepoints_ != nullptr) {
-    safepoints_->ForEachThread([&](MutatorContext* ctx) {
-      for (auto& slot : ctx->local_roots) {
-        check_root(&slot, "local root");
-      }
-    });
-  }
+  ForEachRootSlot(heap_->roots(), safepoints_, check_root);
   return report;
 }
 

@@ -161,6 +161,9 @@ class HeapVerifier {
   void VerifyObjectRefs(Object* obj, Region* region, Report* report);
   bool PlausibleObject(Object* obj, Report* report, const char* what,
                        uint32_t region_index = Finding::kNoRegion);
+  // PlausibleObject for a reference target, which also may not be a free
+  // block: a reference into swept or scrubbed memory dangles.
+  bool PlausibleTarget(Object* obj, Report* report, const char* what);
   // Walk helper for the sampled structural pass (adds repair + OLD-table).
   void WalkRegionChecked(Region* region, const VerifyOptions& opts, bool repair,
                          Report* report);

@@ -94,12 +94,7 @@ uint64_t MarkCompact::Collect(SafepointManager* safepoints, WorkerPool* workers)
       slot->store(markword::ForwardedPtr(m), std::memory_order_relaxed);
     }
   };
-  heap_->roots().ForEach(fix_slot);
-  safepoints->ForEachThread([&](MutatorContext* ctx) {
-    for (auto& slot : ctx->local_roots) {
-      fix_slot(&slot);
-    }
-  });
+  ForEachRootSlot(heap_->roots(), safepoints, fix_slot);
   // Live objects: compacted ones are exactly `preserved`; humongous live
   // objects are walked separately. Distinct objects' slots are disjoint and
   // fix_slot only reads forwarding info, so the fix-up shards freely across

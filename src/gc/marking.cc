@@ -20,73 +20,126 @@ Region* AccountingRegion(RegionManager& regions, Object* obj) {
 
 }  // namespace
 
-void Marker::Visit(Object* obj, std::vector<Object*>* stack) {
-  if (obj == nullptr) {
-    return;
-  }
-  if (!bitmap_->Mark(obj)) {
+void Marker::Visit(Object* obj) {
+  if (obj == nullptr || !bitmap_->Mark(obj)) {
     return;
   }
   AccountingRegion(heap_->regions(), obj)->AddLiveBytes(obj->size_bytes);
   marked_objects_++;
   marked_bytes_ += obj->size_bytes;
-  stack->push_back(obj);
+  mark_stack_.push_back(obj);
 }
 
-void Marker::TraceWorklist(std::vector<Object*>* stack) {
-  while (!stack->empty()) {
-    Object* obj = stack->back();
-    stack->pop_back();
-    heap_->ForEachRefSlot(obj, [&](std::atomic<Object*>* slot) {
-      Visit(slot->load(std::memory_order_relaxed), stack);
-    });
-  }
-}
-
-void Marker::MarkAndTrace(Object* obj) {
-  std::vector<Object*> stack;
-  Visit(obj, &stack);
-  TraceWorklist(&stack);
-}
-
-void Marker::MarkFromRoots(SafepointManager* safepoints, WorkerPool* workers,
-                           CancellationToken* cancel) {
+void Marker::Reset() {
   bitmap_->ClearAll();
   heap_->regions().ForEachRegion([](Region* r) { r->set_live_bytes(0); });
   marked_objects_ = 0;
   marked_bytes_ = 0;
   cancelled_ = false;
+}
 
-  // Gather root slots (world is stopped; plain snapshot is safe).
-  std::vector<std::atomic<Object*>*> roots;
-  heap_->roots().ForEach([&](std::atomic<Object*>* slot) { roots.push_back(slot); });
-  safepoints->ForEachThread([&](MutatorContext* ctx) {
-    for (auto& slot : ctx->local_roots) {
-      roots.push_back(&slot);
-    }
+void Marker::VisitRoots(SafepointManager* safepoints) {
+  ForEachRootSlot(heap_->roots(), safepoints, [&](std::atomic<Object*>* slot) {
+    Visit(slot->load(std::memory_order_relaxed));
   });
+}
 
+bool Marker::Trace(size_t budget_bytes, CancellationToken* cancel) {
+  size_t traced = 0;
+  uint64_t steps = 0;
+  for (;;) {
+    if (mark_stack_.empty()) {
+      std::lock_guard<SpinLock> guard(gray_lock_);
+      if (gray_queue_.empty()) {
+        return true;
+      }
+      for (Object* obj : gray_queue_) {
+        Visit(obj);
+      }
+      gray_queue_.clear();
+      continue;
+    }
+    if (traced >= budget_bytes) {
+      return false;
+    }
+    if ((++steps & 63) == 0 && cancel != nullptr && cancel->IsCancelled()) {
+      cancelled_ = true;
+      return false;
+    }
+    Object* obj = mark_stack_.back();
+    mark_stack_.pop_back();
+    traced += obj->size_bytes;
+    heap_->ForEachRefSlot(obj, [&](std::atomic<Object*>* slot) {
+      Visit(slot->load(std::memory_order_relaxed));
+    });
+  }
+}
+
+void Marker::Start(SafepointManager* safepoints) {
+  Reset();
+  VisitRoots(safepoints);
+  armed_.store(true, std::memory_order_relaxed);
+}
+
+bool Marker::Step(size_t budget_bytes) {
+  std::unique_lock<SpinLock> slice(step_lock_, std::try_to_lock);
+  return slice.owns_lock() && Trace(budget_bytes, nullptr);
+}
+
+void Marker::Remark(SafepointManager* safepoints) {
+  std::lock_guard<SpinLock> slice(step_lock_);
+  VisitRoots(safepoints);
+  Trace(SIZE_MAX, nullptr);
+  armed_.store(false, std::memory_order_relaxed);
+}
+
+void Marker::RemapWorklists() {
+  RegionManager& regions = heap_->regions();
+  auto remap = [&](std::vector<Object*>* worklist) {
+    size_t out = 0;
+    for (Object* obj : *worklist) {
+      uint64_t m = obj->LoadMark();
+      if (markword::IsForwarded(m)) {
+        // Follows the copy; a self-forwarded object (evacuation failure)
+        // stays in place.
+        (*worklist)[out++] = markword::ForwardedPtr(m);
+      } else if (!regions.RegionFor(obj)->in_cset()) {
+        (*worklist)[out++] = obj;
+      }
+      // Otherwise a dead young object: incremental-update marking does not
+      // need to trace from dead sources.
+    }
+    worklist->resize(out);
+  };
+  std::lock_guard<SpinLock> guard(gray_lock_);
+  remap(&gray_queue_);
+  remap(&mark_stack_);
+}
+
+void Marker::Abandon() {
+  std::lock_guard<SpinLock> guard(gray_lock_);
+  gray_queue_.clear();
+  mark_stack_.clear();
+  armed_.store(false, std::memory_order_relaxed);
+}
+
+void Marker::MarkFromRoots(SafepointManager* safepoints, WorkerPool* workers,
+                           CancellationToken* cancel) {
+  Reset();
   if (workers == nullptr || workers->size() == 1) {
     // Stall-only fail point: a delay:<ms> arm sleeps here and returns false.
     (void)ROLP_FAULT_POINT("gc.phase.mark.stall");
-    std::vector<Object*> stack;
-    uint64_t steps = 0;
-    for (auto* slot : roots) {
-      Visit(slot->load(std::memory_order_relaxed), &stack);
-    }
-    while (!stack.empty()) {
-      if ((++steps & 63) == 0 && cancel != nullptr && cancel->IsCancelled()) {
-        cancelled_ = true;
-        return;
-      }
-      Object* obj = stack.back();
-      stack.pop_back();
-      heap_->ForEachRefSlot(obj, [&](std::atomic<Object*>* slot) {
-        Visit(slot->load(std::memory_order_relaxed), &stack);
-      });
+    VisitRoots(safepoints);
+    if (!Trace(SIZE_MAX, cancel)) {
+      mark_stack_.clear();  // cancelled: the partial marking is discarded
     }
     return;
   }
+
+  // Gather root slots (world is stopped; plain snapshot is safe).
+  std::vector<std::atomic<Object*>*> roots;
+  ForEachRootSlot(heap_->roots(), safepoints,
+                  [&](std::atomic<Object*>* slot) { roots.push_back(slot); });
 
   // Parallel: root slots are claimed in chunks from a shared cursor; each
   // marked object goes onto the claiming worker's Chase-Lev deque, and idle

@@ -481,12 +481,8 @@ void RegionalCollector::DoYoungOrMixed(MutatorContext* ctx) {
 
   // Roots.
   std::vector<std::atomic<Object*>*> roots;
-  heap_->roots().ForEach([&](std::atomic<Object*>* slot) { roots.push_back(slot); });
-  safepoints_->ForEachThread([&](MutatorContext* t) {
-    for (auto& slot : t->local_roots) {
-      roots.push_back(&slot);
-    }
-  });
+  ForEachRootSlot(heap_->roots(), safepoints_,
+                  [&](std::atomic<Object*>* slot) { roots.push_back(slot); });
 
   // Everything since pause start except marking was pause-side scanning
   // (occupancy, fragmentation, dead-humongous, cset selection, roots, remset
@@ -882,16 +878,8 @@ void RegionalCollector::FinishConcurrentCycle() {
       w0.ScanObject(obj);
     }
     w0.Drain();
-    std::vector<std::atomic<Object*>*> roots;
-    heap_->roots().ForEach([&](std::atomic<Object*>* slot) { roots.push_back(slot); });
-    safepoints_->ForEachThread([&](MutatorContext* t) {
-      for (auto& slot : t->local_roots) {
-        roots.push_back(&slot);
-      }
-    });
-    for (std::atomic<Object*>* slot : roots) {
-      w0.ProcessRootSlot(slot, nullptr);
-    }
+    ForEachRootSlot(heap_->roots(), safepoints_,
+                    [&](std::atomic<Object*>* slot) { w0.ProcessRootSlot(slot, nullptr); });
     w0.Drain();
     w0.Finish();
   }

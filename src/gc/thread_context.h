@@ -16,6 +16,7 @@
 #include <vector>
 
 #include "src/heap/object.h"
+#include "src/heap/roots.h"
 #include "src/heap/tlab.h"
 
 namespace rolp {
@@ -92,6 +93,22 @@ class SafepointManager {
   size_t parked_ = 0;
   std::atomic<uint64_t> operations_{0};
 };
+
+// The one root walk: while the world is stopped, calls fn(slot) on every
+// global root slot, then on each registered thread's local root slots. With
+// no SafepointManager only the global roots are walked.
+template <typename Fn>
+void ForEachRootSlot(GlobalRoots& globals, SafepointManager* safepoints, Fn&& fn) {
+  globals.ForEach(fn);
+  if (safepoints == nullptr) {
+    return;
+  }
+  safepoints->ForEachThread([&](MutatorContext* ctx) {
+    for (auto& slot : ctx->local_roots) {
+      fn(&slot);
+    }
+  });
+}
 
 }  // namespace rolp
 

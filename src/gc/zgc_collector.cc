@@ -1,6 +1,5 @@
 #include "src/gc/zgc_collector.h"
 
-#include <cstring>
 #include <mutex>
 
 #include "src/gc/mark_compact.h"
@@ -17,7 +16,8 @@ constexpr int kMaxAllocationAttempts = 32;
 
 ZgcCollector::ZgcCollector(Heap* heap, const GcConfig& config, SafepointManager* safepoints)
     : Collector(heap, config, safepoints),
-      bitmap_(heap->regions().heap_base(), heap->regions().committed_bytes()) {
+      bitmap_(heap->regions().heap_base(), heap->regions().committed_bytes()),
+      marker_(heap, &bitmap_) {
   heap->SetBarrierSet(std::make_unique<ZBarrierSet>(this));
 }
 
@@ -58,7 +58,7 @@ Object* ZgcCollector::Relocate(Object* obj, bool* copied_here) {
       // its region alive.
       return obj;
     }
-    std::memcpy(to, obj, size);
+    CopyObjectWords(to, obj, size);
     Object* copy = reinterpret_cast<Object*>(to);
     copy->StoreMark(m);
     if (obj->mark.compare_exchange_strong(m, markword::EncodeForwarded(copy),
@@ -172,29 +172,7 @@ bool ZgcCollector::StartCycle(MutatorContext* ctx) {
     return false;
   }
   uint64_t t0 = NowNs();
-  bitmap_.ClearAll();
-  heap_->regions().ForEachRegion([](Region* r) {
-    if (!r->IsFree()) {
-      r->set_live_bytes(0);
-    }
-  });
-  {
-    std::lock_guard<SpinLock> guard(gray_lock_);
-    heap_->roots().ForEach([&](std::atomic<Object*>* slot) {
-      Object* v = slot->load(std::memory_order_relaxed);
-      if (v != nullptr) {
-        gray_queue_.push_back(v);
-      }
-    });
-    safepoints_->ForEachThread([&](MutatorContext* t) {
-      for (auto& slot : t->local_roots) {
-        Object* v = slot.load(std::memory_order_relaxed);
-        if (v != nullptr) {
-          gray_queue_.push_back(v);
-        }
-      }
-    });
-  }
+  marker_.Start(safepoints_);
   phase_.store(Phase::kMarking, std::memory_order_release);
   uint64_t t1 = NowNs();
   metrics_.RecordPause({t0, t1 - t0, PauseKind::kZMark, 0});
@@ -205,86 +183,39 @@ bool ZgcCollector::StartCycle(MutatorContext* ctx) {
   return true;
 }
 
-void ZgcCollector::MarkSlice(size_t budget_bytes) {
-  size_t traced = 0;
-  while (traced < budget_bytes) {
-    if (mark_stack_.empty()) {
-      std::lock_guard<SpinLock> guard(gray_lock_);
-      if (gray_queue_.empty()) {
-        return;
-      }
-      for (Object* obj : gray_queue_) {
-        if (bitmap_.Mark(obj)) {
-          heap_->regions().RegionFor(obj)->AddLiveBytes(obj->size_bytes);
-          mark_stack_.push_back(obj);
-        }
-      }
-      gray_queue_.clear();
-      continue;
-    }
-    Object* obj = mark_stack_.back();
-    mark_stack_.pop_back();
-    traced += obj->size_bytes;
-    heap_->ForEachRefSlot(obj, [&](std::atomic<Object*>* slot) {
-      Object* v = slot->load(std::memory_order_relaxed);
-      if (v != nullptr && bitmap_.Mark(v)) {
-        heap_->regions().RegionFor(v)->AddLiveBytes(v->size_bytes);
-        mark_stack_.push_back(v);
-      }
-    });
-  }
-}
-
 void ZgcCollector::ConcurrentWork(MutatorContext* ctx, size_t budget_bytes) {
   // Relocation shards by per-region claim CAS, so every caller helps in
-  // parallel — no work_lock_. Mark and remap slices still serialize behind it
-  // (shared mark stack / remap cursor).
-  if (phase_.load(std::memory_order_acquire) == Phase::kRelocating) {
+  // parallel. Mark slices serialize inside the marker, remap slices behind
+  // work_lock_ (shared remap cursor).
+  Phase phase = phase_.load(std::memory_order_acquire);
+  if (phase == Phase::kRelocating) {
     uint64_t r0 = NowNs();
     RelocateSlice(budget_bytes);
     metrics_.AddConcurrentWorkNs(NowNs() - r0);
     return;
   }
-  if (!work_lock_.try_lock()) {
+  if (phase == Phase::kMarking) {
+    uint64_t m0 = NowNs();
+    bool drained = marker_.Step(budget_bytes);
+    metrics_.AddConcurrentWorkNs(NowNs() - m0);
+    if (drained) {
+      RemarkAndSelect(ctx);
+    }
+    return;
+  }
+  // Only STW pauses move the phase out of kRemapping, and this thread does
+  // not park before it is done here.
+  if (phase != Phase::kRemapping || !work_lock_.try_lock()) {
     return;
   }
   uint64_t t0 = NowNs();
-  Phase phase = phase_.load(std::memory_order_relaxed);
-  switch (phase) {
-    case Phase::kIdle:
-      break;
-    case Phase::kMarking: {
-      MarkSlice(budget_bytes);
-      bool done;
-      {
-        std::lock_guard<SpinLock> guard(gray_lock_);
-        done = mark_stack_.empty() && gray_queue_.empty();
-      }
-      if (done) {
-        work_lock_.unlock();
-        metrics_.AddConcurrentWorkNs(NowNs() - t0);
-        RemarkAndSelect(ctx);
-        return;
-      }
-      break;
-    }
-    case Phase::kRelocating:
-      // Raced from kMarking/kIdle into relocation; next call takes the
-      // lock-free path above.
-      break;
-    case Phase::kRemapping:
-      RemapSlice(budget_bytes);
-      if (phase_.load(std::memory_order_relaxed) == Phase::kRemapping &&
-          remap_cursor_ >= remap_snapshot_.size()) {
-        work_lock_.unlock();
-        metrics_.AddConcurrentWorkNs(NowNs() - t0);
-        FinishCycle(ctx);
-        return;
-      }
-      break;
-  }
+  RemapSlice(budget_bytes);
+  bool remapped = remap_cursor_ >= remap_snapshot_.size();
   metrics_.AddConcurrentWorkNs(NowNs() - t0);
   work_lock_.unlock();
+  if (remapped) {
+    FinishCycle(ctx);
+  }
 }
 
 bool ZgcCollector::RemarkAndSelect(MutatorContext* ctx) {
@@ -296,31 +227,7 @@ bool ZgcCollector::RemarkAndSelect(MutatorContext* ctx) {
     return false;
   }
   uint64_t t0 = NowNs();
-  // Remark: rescan roots, drain to completion.
-  {
-    std::lock_guard<SpinLock> guard(gray_lock_);
-    heap_->roots().ForEach([&](std::atomic<Object*>* slot) {
-      Object* v = slot->load(std::memory_order_relaxed);
-      if (v != nullptr) {
-        gray_queue_.push_back(v);
-      }
-    });
-    safepoints_->ForEachThread([&](MutatorContext* t) {
-      for (auto& slot : t->local_roots) {
-        Object* v = slot.load(std::memory_order_relaxed);
-        if (v != nullptr) {
-          gray_queue_.push_back(v);
-        }
-      }
-    });
-  }
-  while (true) {
-    MarkSlice(SIZE_MAX / 2);
-    std::lock_guard<SpinLock> guard(gray_lock_);
-    if (mark_stack_.empty() && gray_queue_.empty()) {
-      break;
-    }
-  }
+  marker_.Remark(safepoints_);
 
   RegionManager& regions = heap_->regions();
   // Reclaim dead humongous objects.
@@ -423,12 +330,7 @@ bool ZgcCollector::RemarkAndSelect(MutatorContext* ctx) {
         slot->store(Relocate(v), std::memory_order_relaxed);
       }
     };
-    heap_->roots().ForEach(heal_root);
-    safepoints_->ForEachThread([&](MutatorContext* t) {
-      for (auto& slot : t->local_roots) {
-        heal_root(&slot);
-      }
-    });
+    ForEachRootSlot(heap_->roots(), safepoints_, heal_root);
   }
 
   heap_->UpdateMaxUsedBytes();
@@ -548,12 +450,7 @@ void ZgcCollector::FinishCycle(MutatorContext* ctx) {
       slot->store(Relocate(v), std::memory_order_relaxed);
     }
   };
-  heap_->roots().ForEach(heal_root);
-  safepoints_->ForEachThread([&](MutatorContext* t) {
-    for (auto& slot : t->local_roots) {
-      heal_root(&slot);
-    }
-  });
+  ForEachRootSlot(heap_->roots(), safepoints_, heal_root);
 
   std::vector<Region*> doomed;
   for (Region* r : relocation_set_) {
@@ -617,11 +514,7 @@ void ZgcCollector::DoFull(MutatorContext* ctx) {
   }
   uint64_t t0 = NowNs();
   safepoints_->ForEachThread([](MutatorContext* t) { t->tlab.Release(); });
-  {
-    std::lock_guard<SpinLock> guard(gray_lock_);
-    gray_queue_.clear();
-  }
-  mark_stack_.clear();
+  marker_.Abandon();
   for (Region* r : relocation_set_) {
     r->set_in_cset(false);
   }

@@ -19,6 +19,7 @@
 
 #include "src/gc/collector.h"
 #include "src/gc/mark_bitmap.h"
+#include "src/gc/marking.h"
 
 namespace rolp {
 
@@ -38,13 +39,9 @@ class ZgcCollector : public Collector {
   // --- Barrier entry points -------------------------------------------------
   // Load barrier: heals references into relocating regions.
   Object* LoadBarrier(std::atomic<Object*>* slot);
-  // Store barrier: grays newly stored values while marking.
-  void MarkingBarrier(Object* value) {
-    if (phase_.load(std::memory_order_relaxed) == Phase::kMarking && value != nullptr) {
-      std::lock_guard<SpinLock> guard(gray_lock_);
-      gray_queue_.push_back(value);
-    }
-  }
+  // Store barrier: grays newly stored values from mark start until the
+  // remark drain ends.
+  void MarkingBarrier(Object* value) { marker_.BarrierPush(value); }
 
   uint64_t relocated_bytes() const { return relocated_bytes_.load(std::memory_order_relaxed); }
   uint64_t cycles_completed() const { return cycles_completed_.load(std::memory_order_relaxed); }
@@ -62,7 +59,6 @@ class ZgcCollector : public Collector {
  private:
   bool StartCycle(MutatorContext* ctx);        // STW mark-start
   void ConcurrentWork(MutatorContext* ctx, size_t budget_bytes);
-  void MarkSlice(size_t budget_bytes);
   bool RemarkAndSelect(MutatorContext* ctx);   // STW remark + relocation set
   void RelocateSlice(size_t budget_bytes);
   void RemapSlice(size_t budget_bytes);
@@ -78,12 +74,10 @@ class ZgcCollector : public Collector {
   double Occupancy() const;
 
   MarkBitmap bitmap_;
+  Marker marker_;  // incremental mode: the concurrent mark
   std::atomic<Phase> phase_{Phase::kIdle};
 
-  SpinLock gray_lock_;
-  std::vector<Object*> gray_queue_;
-  SpinLock work_lock_;                 // serializes mark and remap slices
-  std::vector<Object*> mark_stack_;
+  SpinLock work_lock_;                 // serializes remap slices
 
   SpinLock to_space_lock_;
   Region* to_space_region_ = nullptr;

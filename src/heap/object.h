@@ -158,6 +158,20 @@ struct Object {
 
 static_assert(sizeof(Object) == kObjectHeaderSize, "header must be exactly 16 bytes");
 
+// Speculative object copy for racing copiers: another copier or healer may
+// CAS `from`'s mark word (and, once it is forwarded, heal its ref slots)
+// while this copy reads the source. A copy that loses the forwarding CAS is
+// discarded, so stale words are harmless, but the reads must be atomic to be
+// well-defined: objects are 8-byte aligned and sized, so copy in relaxed
+// 8-byte words instead of memcpy.
+inline void CopyObjectWords(char* to, Object* from, size_t size) {
+  uint64_t* src_words = reinterpret_cast<uint64_t*>(from);
+  uint64_t* dst_words = reinterpret_cast<uint64_t*>(to);
+  for (size_t w = 0; w < size / sizeof(uint64_t); w++) {
+    dst_words[w] = std::atomic_ref<uint64_t>(src_words[w]).load(std::memory_order_relaxed);
+  }
+}
+
 // Payload size needed for a reference array / data array of n elements.
 inline constexpr size_t RefArrayPayloadBytes(uint64_t n) {
   return sizeof(uint64_t) + n * sizeof(Object*);

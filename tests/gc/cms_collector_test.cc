@@ -91,6 +91,52 @@ class CmsCollectorTest : public ::testing::Test {
 
   CmsCollector* cms() { return static_cast<CmsCollector*>(env_->collector.get()); }
 
+  // A white old object W, held only by a root pushed after initial mark, is
+  // stored into the black object B and the root is dropped. The store barrier
+  // must gray W whether the store lands while slices are still tracing or
+  // after they drained (kSweepPending lasts until the next young pause runs
+  // the remark); otherwise the sweep frees W while B still references it.
+  void LateStoreIntoBlackObjectSurvivesSweep(bool store_after_drain) {
+    GcConfig cfg;
+    cfg.tenuring_threshold = 1;
+    cfg.cms_trigger_occupancy = 0;  // the first young pause starts a cycle
+    Start(48, cfg);
+    size_t ro = env_->PushRoot(env_->AllocRefArray(1));
+    env_->SetElem(env_->Root(ro), 0, env_->AllocInstance(node_cls_));
+    size_t rb = env_->PushRoot(env_->AllocRefArray(1));
+    // 96 x 64 KB of reachable data keeps the trace busy for many slices.
+    size_t rbig = env_->PushRoot(env_->AllocRefArray(96));
+    for (uint64_t i = 0; i < 96; i++) {
+      Object* d = env_->AllocDataArray(64 * 1024);
+      env_->SetElem(env_->Root(rbig), i, d);
+    }
+    // One young pause promotes everything; its initial mark grays the roots.
+    while (env_->PausesOfKind(PauseKind::kYoung) == 0) {
+      env_->AllocDataArray(8 * 1024);
+    }
+    ASSERT_EQ(cms()->phase(), CmsCollector::Phase::kMarking);
+    size_t rw = env_->PushRoot(env_->GetElem(env_->Root(ro), 0));
+    env_->SetElem(env_->Root(ro), 0, nullptr);
+    if (store_after_drain) {
+      while (cms()->phase() == CmsCollector::Phase::kMarking) {
+        env_->AllocDataArray(8 * 1024);
+      }
+      ASSERT_EQ(cms()->phase(), CmsCollector::Phase::kSweepPending);
+      ASSERT_EQ(env_->PausesOfKind(PauseKind::kCmsRemark), 0u);
+    }
+    env_->SetElem(env_->Root(rb), 0, env_->Root(rw));
+    env_->PopRoots(rw);
+    while (env_->PausesOfKind(PauseKind::kCmsRemark) == 0) {
+      env_->AllocDataArray(8 * 1024);
+    }
+    Object* w = env_->GetElem(env_->Root(rb), 0);
+    ASSERT_NE(w, nullptr);
+    EXPECT_EQ(w->class_id, node_cls_);
+    HeapVerifier::Report report = HeapVerifier(env_->heap.get(), &env_->safepoints).Verify();
+    EXPECT_TRUE(report.ok()) << report.Summary() << "\n"
+                             << (report.errors.empty() ? "" : report.errors[0]);
+  }
+
   std::unique_ptr<GcTestEnv> env_;
   ClassId node_cls_;
 };
@@ -190,6 +236,55 @@ TEST_F(CmsCollectorTest, LiveOldDataSurvivesConcurrentCycle) {
     n = env_->GetField(n, 0);
   }
   EXPECT_EQ(count, 400);
+}
+
+TEST_F(CmsCollectorTest, StoreWhileMarkingKeepsTargetAlive) {
+  LateStoreIntoBlackObjectSurvivesSweep(/*store_after_drain=*/false);
+}
+
+TEST_F(CmsCollectorTest, StoreAfterSlicesDrainKeepsTargetAlive) {
+  LateStoreIntoBlackObjectSurvivesSweep(/*store_after_drain=*/true);
+}
+
+TEST_F(CmsCollectorTest, ObjectPromotedMidCycleIsTraced) {
+  GcConfig cfg;
+  cfg.tenuring_threshold = 2;
+  cfg.cms_trigger_occupancy = 0;  // the first young pause after idle starts a cycle
+  Start(48, cfg);
+  // O is tenured by the end of the first cycle.
+  size_t ro = env_->PushRoot(env_->AllocInstance(node_cls_));
+  while (env_->PausesOfKind(PauseKind::kCmsRemark) == 0) {
+    env_->AllocDataArray(8 * 1024);
+  }
+  ASSERT_EQ(cms()->phase(), CmsCollector::Phase::kIdle);
+  ASSERT_EQ(env_->heap->regions().RegionFor(env_->Root(ro))->kind(), RegionKind::kOld);
+  // Between cycles: root -> A -> S -> O, with O reachable only through the
+  // young S. 96 x 64 KB of reachable data is traced before A, so S is still
+  // white when the next young pause promotes it mid-cycle.
+  size_t ra = env_->PushRoot(env_->AllocRefArray(1));
+  Object* s = env_->AllocInstance(node_cls_);
+  env_->SetField(s, 0, env_->Root(ro));
+  env_->SetElem(env_->Root(ra), 0, s);
+  env_->SetRoot(ro, nullptr);
+  size_t rbig = env_->PushRoot(env_->AllocRefArray(96));
+  for (uint64_t i = 0; i < 96; i++) {
+    Object* d = env_->AllocDataArray(64 * 1024);
+    env_->SetElem(env_->Root(rbig), i, d);
+  }
+  uint64_t young = env_->PausesOfKind(PauseKind::kYoung);
+  while (env_->PausesOfKind(PauseKind::kYoung) == young) {
+    env_->AllocDataArray(8 * 1024);
+  }
+  ASSERT_EQ(cms()->phase(), CmsCollector::Phase::kMarking);
+  while (env_->PausesOfKind(PauseKind::kCmsRemark) < 2) {
+    env_->AllocDataArray(8 * 1024);
+  }
+  ASSERT_EQ(env_->PausesOfKind(PauseKind::kFull), 0u);
+  s = env_->GetElem(env_->Root(ra), 0);
+  ASSERT_EQ(env_->heap->regions().RegionFor(s)->kind(), RegionKind::kOld);
+  Object* o = env_->GetField(s, 0);
+  ASSERT_NE(o, nullptr);
+  EXPECT_EQ(o->class_id, node_cls_);
 }
 
 TEST_F(CmsCollectorTest, PromotionFailureTriggersFullCompaction) {

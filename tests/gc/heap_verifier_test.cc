@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "src/gc/cms_collector.h"
+#include "src/gc/free_list_space.h"
 #include "src/gc/regional_collector.h"
 #include "src/gc/zgc_collector.h"
 #include "tests/gc/gc_test_util.h"
@@ -128,6 +129,16 @@ TEST_F(HeapVerifierTest, DetectsDanglingReference) {
                                         std::memory_order_relaxed);
   auto report = VerifyNow();
   EXPECT_FALSE(report.ok());
+  env_->Root(root)->RefSlotAt(0)->store(nullptr, std::memory_order_relaxed);
+  // A target inside a live region that a sweep already turned into a free
+  // block dangles just the same.
+  Object* target = env_->AllocInstance(node_cls_);
+  env_->SetField(env_->Root(root), 0, target);
+  ASSERT_TRUE(VerifyNow().ok());
+  FreeListSpace::FormatFreeBlock(reinterpret_cast<char*>(target), target->size_bytes);
+  report = VerifyNow();
+  ASSERT_FALSE(report.ok());
+  EXPECT_EQ(report.findings[0].kind, HeapVerifier::Finding::Kind::kDanglingRef);
   // Undo so teardown collections do not trip over the forged pointer.
   env_->Root(root)->RefSlotAt(0)->store(nullptr, std::memory_order_relaxed);
 }

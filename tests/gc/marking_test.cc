@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "src/gc/mark_bitmap.h"
 #include "src/gc/regional_collector.h"
 #include "tests/gc/gc_test_util.h"
@@ -117,19 +119,45 @@ TEST_F(MarkingTest, ParallelMarkingMatchesSerial) {
     }
   }
 
+  auto live_bytes = [&] {
+    std::vector<size_t> live;
+    env_.heap->regions().ForEachRegion([&](Region* r) { live.push_back(r->live_bytes()); });
+    return live;
+  };
+
   ASSERT_TRUE(env_.safepoints.BeginOperation(&env_.ctx));
   Marker serial(env_.heap.get(), bitmap_.get());
   serial.MarkFromRoots(&env_.safepoints, nullptr);
   uint64_t serial_objects = serial.marked_objects();
   uint64_t serial_bytes = serial.marked_bytes();
+  std::vector<size_t> serial_live = live_bytes();
 
   WorkerPool pool(4);
   Marker parallel(env_.heap.get(), bitmap_.get());
   parallel.MarkFromRoots(&env_.safepoints, &pool);
+  std::vector<size_t> parallel_live = live_bytes();
+
+  // Incremental mode: one object per slice, and a barrier push (a mutator
+  // re-storing a chain head it already holds) between slices.
+  Marker incremental(env_.heap.get(), bitmap_.get());
+  incremental.Start(&env_.safepoints);
+  uint64_t steps = 0;
+  while (!incremental.Step(1)) {
+    Object* arr_now = env_.Root(root);
+    incremental.BarrierPush(arr_now->RefArraySlot(steps % 64)->load());
+    steps++;
+  }
+  incremental.Remark(&env_.safepoints);
+  std::vector<size_t> incremental_live = live_bytes();
   env_.safepoints.EndOperation(&env_.ctx);
 
   EXPECT_EQ(parallel.marked_objects(), serial_objects);
   EXPECT_EQ(parallel.marked_bytes(), serial_bytes);
+  EXPECT_EQ(parallel_live, serial_live);
+  EXPECT_GE(steps, serial_objects - 1);
+  EXPECT_EQ(incremental.marked_objects(), serial_objects);
+  EXPECT_EQ(incremental.marked_bytes(), serial_bytes);
+  EXPECT_EQ(incremental_live, serial_live);
   EXPECT_EQ(serial_objects, 1u + 64u * 10u);
 }
 

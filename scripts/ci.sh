@@ -25,13 +25,14 @@ for preset in "${PRESETS[@]}"; do
   if [ "$preset" = tsan ]; then
     # Dispatch races in the GC worker pool (spinning inside pause brackets,
     # parking outside), termination races in the work-stealing pool,
-    # lock-free class lookups, incremental-mark slices racing barrier pushes
-    # and ZGC load-barrier copies, and the open-loop service engine (one
-    # generator feeding per-shard queues and workers) show up only in rare
+    # lock-free class lookups, safepoint stops racing thread registration,
+    # incremental-mark slices racing barrier pushes and ZGC load-barrier
+    # copies, and the open-loop service engine (one generator feeding
+    # per-shard queues and waking their idle workers) show up only in rare
     # interleavings: repeat those suites.
-    echo "=== [$preset] dispatch, termination, marking and service races (20 repeats)"
+    echo "=== [$preset] dispatch, termination, safepoint, marking and service races (20 repeats)"
     ctest --preset "$preset" \
-      -R 'WorkerPool|StealableQueue|WorkStealing|ClassRegistry|Marking|CmsCollector|ZgcCollector|OpenLoopService|ShardedService|ConsistentHashRouter|Pacer' \
+      -R 'WorkerPool|StealableQueue|WorkStealing|ClassRegistry|Safepoint|Marking|CmsCollector|ZgcCollector|OpenLoopService|ShardedService|ConsistentHashRouter|Pacer' \
       --repeat until-fail:20 --no-tests=error
   fi
 done

@@ -767,7 +767,10 @@ void RegionalCollector::StartConcurrentEvacuation(std::vector<Region*> cset,
 
 void RegionalCollector::ConcurrentDriver() {
   // The driver registers as a mutator so it can run the final pause through
-  // the standard safepoint protocol.
+  // the standard safepoint protocol. It was started inside the arming pause,
+  // so registration returns only once that pause ends. No pause waits for the
+  // driver meanwhile: while concurrent_active_ is set, TryCollect and
+  // CollectFull wait for the cycle outside an operation or end theirs at once.
   MutatorContext dctx;
   dctx.thread_id = 0xFFFFFFFFu;
   safepoints_->RegisterThread(&dctx);

@@ -5,10 +5,10 @@
 namespace rolp {
 
 void SafepointManager::RegisterThread(MutatorContext* ctx) {
-  std::lock_guard<std::mutex> guard(mu_);
-  // A thread must not register while a stop is in progress in a way that the
-  // VM-op thread misses it; holding mu_ makes registration atomic with the
-  // stop protocol.
+  std::unique_lock<std::mutex> lock(mu_);
+  // A running operation counted its parked threads when it began and may be
+  // collecting the regions a new thread would allocate into: join after it.
+  cv_resume_.wait(lock, [&] { return !operation_active_; });
   threads_.push_back(ctx);
 }
 

@@ -31,6 +31,9 @@ struct MutatorContext {
 
 class SafepointManager {
  public:
+  // Blocks while an operation is active, so a new thread never runs inside a
+  // pause. The caller must not itself be a registered, unparked thread: the
+  // operation would wait for it to park.
   void RegisterThread(MutatorContext* ctx);
   void UnregisterThread(MutatorContext* ctx);
 

@@ -475,11 +475,16 @@ void VM::WriteObservabilityDumps() {
 }
 
 RuntimeThread* VM::AttachThread() {
-  std::lock_guard<SpinLock> guard(threads_lock_);
-  auto owned = std::make_unique<RuntimeThread>(this, next_thread_id_++);
-  RuntimeThread* t = owned.get();
-  all_threads_.push_back(std::move(owned));
-  threads_.push_back(t);
+  RuntimeThread* t;
+  {
+    std::lock_guard<SpinLock> guard(threads_lock_);
+    auto owned = std::make_unique<RuntimeThread>(this, next_thread_id_++);
+    t = owned.get();
+    all_threads_.push_back(std::move(owned));
+    threads_.push_back(t);
+  }
+  // Outside threads_lock_: registration waits out a running pause, and the
+  // pause's GC-end hook takes threads_lock_.
   safepoints_.RegisterThread(&t->gc_context());
   return t;
 }

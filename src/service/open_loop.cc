@@ -68,6 +68,10 @@ struct Shard {
   SpinLock queue_lock;
   std::deque<Request> queue;
   std::atomic<size_t> depth{0};
+  // Idle wake (DESIGN.md §13.2): idle workers block on `wake`; a push bumps
+  // it and notifies only while `sleepers` is non-zero.
+  std::atomic<uint32_t> wake{0};
+  std::atomic<uint32_t> sleepers{0};
 
   SpinLock retry_lock;
   std::priority_queue<Request, std::vector<Request>, RetryLater> retries;
@@ -80,6 +84,7 @@ struct Shard {
   std::atomic<uint64_t> deadline_miss{0};
   std::atomic<uint64_t> retries_granted{0};
   std::atomic<uint64_t> retry_denied{0};
+  std::atomic<uint64_t> idle_waits{0};  // blocking waits by this shard's workers
   uint64_t shed_drain = 0;  // written after the workers have joined
 
   std::vector<std::thread> workers;
@@ -237,6 +242,7 @@ ShardedServiceResult RunShards(const VmConfig& vm_config,
     sm.Gauge("service.completed_ok", [sh, count] { return count(sh->completed_ok); });
     sm.Gauge("service.deadline_miss", [sh, count] { return count(sh->deadline_miss); });
     sm.Gauge("service.retries", [sh, count] { return count(sh->retries_granted); });
+    sm.Gauge("service.idle_waits", [sh, count] { return count(sh->idle_waits); });
     sm.Gauge("service.admitted",
              [sh] { return static_cast<double>(sh->admission.admitted()); });
     sm.Gauge("service.rejected",
@@ -263,10 +269,18 @@ ShardedServiceResult RunShards(const VmConfig& vm_config,
       }
       sh->queue_lock.unlock();
       if (!got) {
-        // Idle wait in a safe region: a pause never waits on a sleeping
-        // worker, and the worker re-polls on wake.
+        // Idle wait in a safe region, so a pause never waits on a blocked
+        // worker. Read the word, then announce the sleep, then re-check: a
+        // push either sees the sleeper and bumps the word, or lands before
+        // the re-check (both sides seq_cst), so no arrival is left unserved.
         SafepointManager::ScopedSafeRegion safe(&vm.safepoints(), &t->gc_context());
-        std::this_thread::sleep_for(std::chrono::microseconds(200));
+        uint32_t seen = sh->wake.load();
+        sh->sleepers.fetch_add(1);
+        if (sh->depth.load() == 0 && !stop.load()) {
+          sh->idle_waits.fetch_add(1, std::memory_order_relaxed);
+          sh->wake.wait(seen);
+        }
+        sh->sleepers.fetch_sub(1);
         continue;
       }
       uint64_t dq = NowNs();
@@ -415,9 +429,15 @@ ShardedServiceResult RunShards(const VmConfig& vm_config,
         sh->reporter->Record(tl, RequestOutcome::kRejected);
         ROLP_TRACE_INSTANT("service", "service.reject", req.id);
       } else {
-        std::lock_guard<SpinLock> guard(sh->queue_lock);
-        sh->queue.push_back(req);
-        sh->depth.fetch_add(1, std::memory_order_relaxed);
+        {
+          std::lock_guard<SpinLock> guard(sh->queue_lock);
+          sh->queue.push_back(req);
+          sh->depth.fetch_add(1);
+        }
+        if (sh->sleepers.load() > 0) {
+          sh->wake.fetch_add(1);
+          sh->wake.notify_one();
+        }
       }
     }
   };
@@ -444,7 +464,11 @@ ShardedServiceResult RunShards(const VmConfig& vm_config,
   while (total_depth() > 0 && NowNs() < drain_end) {
     std::this_thread::sleep_for(std::chrono::milliseconds(5));
   }
-  stop.store(true, std::memory_order_relaxed);
+  stop.store(true);
+  for (auto& sh : shards) {
+    sh->wake.fetch_add(1);
+    sh->wake.notify_all();
+  }
   for (auto& sh : shards) {
     for (auto& th : sh->workers) {
       th.join();
@@ -491,6 +515,7 @@ ShardedServiceResult RunShards(const VmConfig& vm_config,
     r.deadline_miss = sh.deadline_miss.load();
     r.retries = sh.retries_granted.load();
     r.retry_denied = sh.retry_denied.load();
+    r.idle_waits = sh.idle_waits.load();
 
     HeapGovernor& governor = sh.vm->heap().governor();
     r.governor_max_level = static_cast<uint64_t>(governor.max_level());

@@ -78,6 +78,7 @@ struct ServiceResult {
   uint64_t deadline_miss = 0;     // executed, but responded past deadline
   uint64_t retries = 0;           // backoff retries granted
   uint64_t retry_denied = 0;      // budget refusals
+  uint64_t idle_waits = 0;        // blocking waits of idle workers for a push
 
   // Governor ladder activity during the run.
   uint64_t governor_max_level = 0;

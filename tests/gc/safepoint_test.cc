@@ -127,6 +127,40 @@ TEST(SafepointTest, ScopedSafeRegionAllowsOperation) {
   sp.UnregisterThread(&main_ctx);
 }
 
+TEST(SafepointTest, RegistrationWaitsForRunningOperation) {
+  // A thread that registers while an operation runs was not counted when the
+  // operation stopped the world, so it must not join (and allocate into the
+  // regions being collected) until EndOperation. Checked by counting yields,
+  // not by timing: the registering thread gets many chances to return early.
+  SafepointManager sp;
+  MutatorContext main_ctx;
+  sp.RegisterThread(&main_ctx);
+  ASSERT_TRUE(sp.BeginOperation(&main_ctx));
+
+  std::atomic<bool> started{false};
+  std::atomic<bool> returned{false};
+  std::thread late([&] {
+    MutatorContext ctx;
+    started.store(true);
+    sp.RegisterThread(&ctx);
+    returned.store(true);
+    sp.UnregisterThread(&ctx);
+  });
+  while (!started.load()) {
+    std::this_thread::yield();
+  }
+  for (int i = 0; i < 100000 && !returned.load(); i++) {
+    std::this_thread::yield();
+  }
+  EXPECT_FALSE(returned.load()) << "a thread registered inside a running operation";
+  EXPECT_EQ(sp.NumThreads(), 1u);
+
+  sp.EndOperation(&main_ctx);
+  late.join();
+  EXPECT_TRUE(returned.load());
+  sp.UnregisterThread(&main_ctx);
+}
+
 TEST(SafepointTest, ThreadExitDuringStopRequest) {
   SafepointManager sp;
   MutatorContext main_ctx;

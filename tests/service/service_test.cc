@@ -452,5 +452,36 @@ TEST(OpenLoopServiceTest, OverloadRunShedsWithoutAborting) {
   EXPECT_FALSE(r.verdict_json.empty());
 }
 
+TEST(OpenLoopServiceTest, IdleWorkersWakeOnArrivalNotOnTimer) {
+  // Light load leaves both workers idle between arrivals. Checked by
+  // counting: every arrival is served before the drain (a lost wakeup on the
+  // last one would leave it queued until the drain sheds it), and the idle
+  // workers block about once per arrival instead of re-polling on a timer.
+  // One push can end the waits of both workers while only one finds the
+  // request, and the shutdown wake ends each worker's last wait: hence
+  // 2 x offered + workers.
+  VmConfig cfg;
+  cfg.heap_mb = 48;
+  cfg.gc = GcKind::kG1;
+  KvStoreOptions kv;
+  kv.num_keys = 4000;
+  kv.memtable_flush_rows = 1000;
+  KvStoreWorkload workload(kv);
+  ServiceOptions so;
+  so.workers = 2;
+  so.duration_s = 1.0;
+  so.rate_rps = 200.0;
+  so.calibrate_s = 0.0;
+  so.drain_grace_s = 0.5;
+  ServiceResult r = RunService(cfg, workload, so);
+
+  EXPECT_TRUE(r.survived);
+  EXPECT_GT(r.offered, 100u);
+  EXPECT_EQ(r.shed_drain, 0u);
+  EXPECT_EQ(r.completed_ok + r.deadline_miss, r.offered);
+  EXPECT_GT(r.idle_waits, 0u);
+  EXPECT_LE(r.idle_waits, 2 * r.offered + static_cast<uint64_t>(so.workers));
+}
+
 }  // namespace
 }  // namespace rolp

@@ -23,16 +23,18 @@ for preset in "${PRESETS[@]}"; do
   echo "=== [$preset] test"
   ctest --preset "$preset"
   if [ "$preset" = tsan ]; then
-    # Dispatch races in the GC worker pool (spinning inside pause brackets,
-    # parking outside), termination races in the work-stealing pool,
-    # lock-free class lookups, safepoint stops racing thread registration,
-    # incremental-mark slices racing barrier pushes and ZGC load-barrier
-    # copies, and the open-loop service engine (one generator feeding
-    # per-shard queues and waking their idle workers) show up only in rare
-    # interleavings: repeat those suites.
-    echo "=== [$preset] dispatch, termination, safepoint, marking and service races (20 repeats)"
+    # Dispatch races in the GC worker pool (a bounded spin inside pause
+    # brackets, then a parked waiter), termination races in the work-stealing
+    # pool, lock-free class lookups, safepoint stops racing thread
+    # registration, incremental-mark slices racing barrier pushes and ZGC
+    # load-barrier copies, the evacuation driver (CMS scavenges, mutator heals
+    # in concurrent evacuation, watchdog stalls and cancellation), and the
+    # open-loop service engine (one generator feeding per-shard queues and
+    # waking their idle workers) show up only in rare interleavings: repeat
+    # those suites.
+    echo "=== [$preset] dispatch, termination, safepoint, marking, evacuation and service races (20 repeats)"
     ctest --preset "$preset" \
-      -R 'WorkerPool|StealableQueue|WorkStealing|ClassRegistry|Safepoint|Marking|CmsCollector|ZgcCollector|OpenLoopService|ShardedService|ConsistentHashRouter|Pacer' \
+      -R 'WorkerPool|StealableQueue|WorkStealing|ClassRegistry|Safepoint|Marking|CmsCollector|ZgcCollector|ConcurrentEvac|Watchdog|OpenLoopService|ShardedService|ConsistentHashRouter|Pacer' \
       --repeat until-fail:20 --no-tests=error
   fi
 done

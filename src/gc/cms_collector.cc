@@ -1,5 +1,6 @@
 #include "src/gc/cms_collector.h"
 
+#include "src/gc/evacuation.h"
 #include "src/gc/mark_compact.h"
 #include "src/util/clock.h"
 #include "src/util/fault_injection.h"
@@ -32,21 +33,6 @@ double CmsCollector::TenuredOccupancy() const {
   const RegionManager& regions = heap_->regions();
   return static_cast<double>(regions.tenured_regions()) /
          static_cast<double>(regions.num_regions());
-}
-
-char* CmsCollector::AllocateOld(size_t bytes, size_t* actual) {
-  char* p = old_space_.Allocate(bytes, actual);
-  if (p != nullptr) {
-    return p;
-  }
-  // Pause-time promotion destination: may dip into the evacuation reserve.
-  Region* fresh =
-      heap_->regions().AllocateRegion(RegionKind::kOld, 0, /*gc_internal=*/true);
-  if (fresh == nullptr) {
-    return nullptr;
-  }
-  old_space_.AddRegion(fresh);
-  return old_space_.Allocate(bytes, actual);
 }
 
 Region* CmsCollector::RefillTlab(MutatorContext* ctx) {
@@ -109,10 +95,14 @@ bool CmsCollector::TryCollect(MutatorContext* ctx, bool force_full) {
   if (!safepoints_->BeginOperation(ctx)) {
     return false;
   }
-  if (force_full) {
-    DoFull(NowNs());
-  } else {
-    DoYoung(ctx);
+  {
+    // Opened before PreparePause so the workers' one wake-up overlaps it.
+    WorkerPool::PauseBracket bracket(workers_.get());
+    if (force_full) {
+      DoFull(NowNs());
+    } else {
+      DoYoung(ctx);
+    }
   }
   safepoints_->EndOperation(ctx);
   return true;
@@ -148,175 +138,47 @@ void CmsCollector::DoYoung(MutatorContext* ctx) {
     }
   });
 
-  // Single-threaded scavenge with the usual CAS-free forwarding (one worker).
-  Region* survivor_buf = nullptr;
-  std::vector<Object*> scan_stack;
-  std::vector<std::pair<Object*, uint64_t>> preserved;  // self-forwarded marks
-  bool failed = false;
-  uint64_t copied = 0;
-  uint64_t promoted = 0;
-  bool survivor_tracking = profiler_ != nullptr && profiler_->SurvivorTrackingEnabled();
-
-  auto evacuate = [&](Object* obj) -> Object* {
-    uint64_t m = obj->LoadMark();
-    if (markword::IsForwarded(m)) {
-      return markword::ForwardedPtr(m);
-    }
-    uint32_t new_age = markword::Age(m) + 1;
-    if (new_age > markword::kMaxAge) {
-      new_age = markword::kMaxAge;
-    }
-    size_t size = obj->size_bytes;
-    char* to = nullptr;
-    size_t actual = size;
-    bool promote = new_age >= config_.tenuring_threshold;
-    if (!promote) {
-      if (survivor_buf != nullptr) {
-        to = survivor_buf->BumpAlloc(size);
-      }
-      if (to == nullptr) {
-        survivor_buf =
-            regions.AllocateRegion(RegionKind::kSurvivor, 0, /*gc_internal=*/true);
-        to = survivor_buf != nullptr ? survivor_buf->BumpAlloc(size) : nullptr;
-      }
-      if (to == nullptr) {
-        promote = true;  // no survivor space: tenure early
-      }
-    }
-    if (promote && to == nullptr) {
-      to = AllocateOld(size, &actual);
-    }
-    if (to == nullptr) {
-      // Promotion failure (fragmentation or exhaustion): self-forward.
-      preserved.emplace_back(obj, m);
-      obj->StoreMark(markword::EncodeForwarded(obj));
-      failed = true;
-      scan_stack.push_back(obj);
-      return obj;
-    }
-    std::memcpy(to, obj, size);
-    Object* copy = reinterpret_cast<Object*>(to);
-    copy->size_bytes = static_cast<uint32_t>(actual);  // may absorb a free sliver
-    copy->StoreMark(markword::SetAge(m, new_age));
-    obj->StoreMark(markword::EncodeForwarded(copy));
-    copied += size;
-    if (promote) {
-      promoted += size;
-    }
-    if (cycle_active) {
-      if (promote) {
-        // Promoted objects enter the old space mid-cycle: gray them so the
-        // marker marks them and traces their fields.
-        marker_.BarrierPush(copy);
-      } else if (bitmap_.IsMarked(obj)) {
-        bitmap_.Mark(copy);
-      }
-    }
-    if (survivor_tracking && profiler_ != nullptr) {
-      profiler_->OnSurvivor(0, m);
-    }
-    scan_stack.push_back(copy);
-    return copy;
-  };
-
-  auto process_slot = [&](std::atomic<Object*>* slot, Region* src_region) {
-    Object* v = slot->load(std::memory_order_relaxed);
-    if (v == nullptr) {
-      return;
-    }
-    Region* vr = regions.RegionFor(v);
-    if (vr->in_cset()) {
-      v = evacuate(v);
-      slot->store(v, std::memory_order_relaxed);
-      vr = regions.RegionFor(v);
-    }
-    if (src_region != nullptr && vr != src_region &&
-        !(src_region->IsYoung() && vr->IsYoung())) {
-      vr->RemsetAddRegion(src_region->index());
-    }
-  };
-
-  ForEachRootSlot(heap_->roots(), safepoints_,
-                  [&](std::atomic<Object*>* slot) { process_slot(slot, nullptr); });
-  // Remembered-set sources.
-  std::vector<bool> seen(regions.num_regions(), false);
-  for (Region* r : cset) {
-    r->ForEachRemsetRegion([&](uint32_t idx) {
-      if (seen[idx]) {
-        return;
-      }
-      seen[idx] = true;
-      Region* s = &regions.region(idx);
-      if (s->IsFree() || s->in_cset() || s->kind() == RegionKind::kHumongousCont ||
-          s->IsUnscannable()) {
-        return;
-      }
-      s->ForEachObject([&](Object* obj) {
-        heap_->ForEachRefSlot(obj, [&](std::atomic<Object*>* slot) { process_slot(slot, s); });
-      });
-    });
+  std::vector<Region*> remset_sources;
+  std::vector<std::atomic<Object*>*> roots;
+  {
+    WatchdogPhaseScope scope(watchdog_.get(), GcPhase::kScan, nullptr, &metrics_);
+    ROLP_TRACE_SCOPE("gc", "gc.phase.scan");
+    remset_sources = RemsetSources(cset);
+    ForEachRootSlot(heap_->roots(), safepoints_,
+                    [&](std::atomic<Object*>* slot) { roots.push_back(slot); });
   }
-  // Transitive closure.
-  while (!scan_stack.empty()) {
-    Object* obj = scan_stack.back();
-    scan_stack.pop_back();
-    Region* obj_region = regions.RegionFor(obj);
-    heap_->ForEachRefSlot(obj, [&](std::atomic<Object*>* slot) { process_slot(slot, obj_region); });
-  }
+  uint64_t evac_t0 = NowNs();
+  metrics_.AddPauseScanNs(evac_t0 - t0);
 
+  // The parallel copy engine, with CMS's policy: promotions go to the
+  // free-list old space, and a running concurrent mark keeps its invariants.
+  // The scavenge is conservative: every object of a remset source is scanned.
+  CancellationToken evac_cancel;
+  EvacuationTask task(heap_, &config_, profiler_,
+                      profiler_ != nullptr && profiler_->SurvivorTrackingEnabled(),
+                      workers_->size(), &evac_cancel);
+  task.set_old_space(&old_space_);
+  if (cycle_active) {
+    task.set_marker(&marker_);
+  }
+  {
+    WatchdogPhaseScope scope(watchdog_.get(), GcPhase::kEvacuate, &evac_cancel, &metrics_);
+    ROLP_TRACE_SCOPE("gc", "gc.phase.evacuate");
+    EvacuationUnits units;
+    units.roots = roots;
+    units.sources = remset_sources;
+    units.stall_point = "gc.phase.evacuate.stall";
+    task.Run(workers_.get(), units);
+  }
   // The concurrent cycle's worklists may reference moved objects.
   if (cycle_active) {
     marker_.RemapWorklists();
   }
-  for (auto& [obj, mark] : preserved) {
-    obj->StoreMark(mark);
-  }
-  std::vector<Region*> doomed;
-  for (Region* r : cset) {
-    bool has_failures = false;
-    for (auto& [obj, mark] : preserved) {
-      if (regions.RegionFor(obj) == r) {
-        has_failures = true;
-        break;
-      }
-    }
-    if (has_failures) {
-      r->set_in_cset(false);
-      regions.RetireToOld(r);
-      ScrubRetiredEvacFailure(r);
-    } else {
-      doomed.push_back(r);
-    }
-  }
-  if (verify_options_.enabled() && !doomed.empty()) {
-    // Post-evacuation check before the doomed regions' memory is recycled.
-    // The scavenge is conservative (it evacuates everything reachable from
-    // roots and remset sources, live or not), so no liveness filter applies:
-    // any surviving reference into the collection set is a genuine miss.
-    uint64_t v0 = NowNs();
-    WorkerPool::PauseBracket bracket(workers_.get());
-    CancellationToken verify_cancel;
-    WatchdogPhaseScope vscope(watchdog_.get(), GcPhase::kVerify, &verify_cancel, &metrics_);
-    ROLP_TRACE_SCOPE("gc", "gc.phase.verify");
-    HeapVerifier verifier(heap_, safepoints_);
-    HeapVerifier::Report report = verifier.VerifyCollectionSet(
-        doomed, workers_.get(), verify_options_, NextVerifyPass(), &verify_cancel,
-        /*live_filter=*/nullptr);
-    if (ApplyVerification("cms-post-evacuation", report)) {
-      QuarantineFlagged(&verifier, doomed, &report);
-    }
-    metrics_.AddPauseVerifyNs(NowNs() - v0);
-  }
-  for (Region* r : doomed) {
-    if (r->quarantined()) {
-      continue;
-    }
-    bitmap_.ClearRange(r->begin(), r->end());
-    regions.FreeRegion(r);
-  }
-
-  metrics_.AddBytesCopied(copied);
-  metrics_.AddBytesPromoted(promoted);
+  // No liveness filter for the post-evacuation check: the scavenge evacuates
+  // everything reachable from roots and remset sources, live or not, so any
+  // surviving reference into the collection set is a genuine miss.
+  uint64_t copied = FinishEvacuation(&task, cset, evac_t0, "cms-post-evacuation",
+                                     /*live_filter=*/nullptr, &bitmap_);
   metrics_.IncrementGcCycles();
   heap_->UpdateMaxUsedBytes();
   uint64_t t1 = NowNs();
@@ -327,8 +189,12 @@ void CmsCollector::DoYoung(MutatorContext* ctx) {
     profiler_->OnGcEnd({metrics_.GcCycles(), t1 - t0, PauseKind::kYoung});
   }
 
-  if (failed) {
-    ROLP_LOG_INFO("cms promotion failure; full compaction");
+  if (task.failed()) {
+    if (evac_cancel.IsCancelled()) {
+      ROLP_LOG_ERROR("cms scavenge cancelled by watchdog; full compaction");
+    } else {
+      ROLP_LOG_INFO("cms promotion failure; full compaction");
+    }
     DoFull(NowNs());
     return;
   }
@@ -439,8 +305,8 @@ void CmsCollector::RemarkAndSweep(uint64_t t0) {
 }
 
 void CmsCollector::DoFull(uint64_t t0) {
-  // Compaction and verification are CMS's only pause work on the workers;
-  // the scavenge and remark run on the pause thread.
+  // The remark and the sweep run on the pause thread; the scavenge,
+  // compaction and verification run on the workers.
   WorkerPool::PauseBracket bracket(workers_.get());
   PreparePause();
   // Abandon any in-flight concurrent cycle; compaction recomputes liveness.

@@ -1,9 +1,11 @@
-// CMS-like collector: copying young scavenges that promote into a free-list
-// old space, a mostly-concurrent old-space mark (initial mark piggybacked on
-// a young pause, marking slices driven from the allocation path, an
+// CMS-like collector: parallel copying young scavenges (ParNew-style, on the
+// shared EvacuationTask engine) that promote into a free-list old space, a
+// mostly-concurrent old-space mark (initial mark piggybacked on a young
+// pause, marking slices driven from the allocation path, an
 // incremental-update write barrier feeding a gray queue), a stop-the-world
 // remark+sweep pause, and a full mark-compact fallback when promotion fails
-// due to fragmentation — the paper's CMS long-tail source.
+// due to fragmentation or the watchdog cancels a scavenge — the paper's CMS
+// long-tail source.
 #ifndef SRC_GC_CMS_COLLECTOR_H_
 #define SRC_GC_CMS_COLLECTOR_H_
 
@@ -44,9 +46,6 @@ class CmsCollector : public Collector {
   void DoYoung(MutatorContext* ctx);
   void DoFull(uint64_t t0);
   void PreparePause();
-
-  // Promotion target: free-list old space; grows by claiming regions.
-  char* AllocateOld(size_t bytes, size_t* actual);
 
   // Concurrent cycle pieces.
   void MaybeStartCycleLocked();   // world stopped: initial root scan

@@ -3,9 +3,12 @@
 #include <chrono>
 #include <thread>
 
+#include "src/gc/evacuation.h"
+#include "src/util/clock.h"
 #include "src/util/crash_context.h"
 #include "src/util/log.h"
 #include "src/util/metrics_registry.h"
+#include "src/util/trace.h"
 
 namespace rolp {
 
@@ -111,8 +114,7 @@ void Collector::ScrubRetiredEvacFailure(Region* region) {
       return;
     }
     if (markword::IsForwarded(obj->LoadMark())) {
-      obj->StoreMark(0);
-      obj->class_id = kFreeBlockClassId;
+      ScrubToFreeBlock(obj);
       return;
     }
     live += obj->size_bytes;
@@ -130,20 +132,122 @@ void Collector::ScrubRetiredEvacFailure(Region* region) {
   region->set_live_bytes(live);
 }
 
-size_t Collector::ScrubDeadObjects(Region* region, const MarkBitmap& bitmap) {
-  size_t scrubbed = 0;
-  region->ForEachObject([&](Object* obj) {
-    if (obj->class_id == kFreeBlockClassId || bitmap.IsMarked(obj)) {
-      return;
+std::vector<Region*> Collector::RemsetSources(const std::vector<Region*>& cset) {
+  RegionManager& regions = heap_->regions();
+  std::unique_ptr<std::atomic<uint8_t>[]> seen(
+      new std::atomic<uint8_t>[regions.num_regions()]());
+  std::vector<std::vector<Region*>> partials(workers_->size());
+  workers_->ParallelFor(cset.size(), 4, [&](uint32_t w, size_t begin, size_t end) {
+    for (size_t i = begin; i < end; i++) {
+      cset[i]->ForEachRemsetRegion([&](uint32_t idx) {
+        if (seen[idx].load(std::memory_order_relaxed) != 0 ||
+            seen[idx].exchange(1, std::memory_order_relaxed) != 0) {
+          return;
+        }
+        Region* s = &regions.region(idx);
+        if (!s->IsFree() && !s->in_cset() && s->kind() != RegionKind::kHumongousCont &&
+            !s->IsUnscannable()) {
+          partials[w].push_back(s);
+        }
+      });
     }
-    obj->StoreMark(0);
-    obj->class_id = kFreeBlockClassId;
-    scrubbed += obj->size_bytes;
   });
-  if (scrubbed > 0) {
-    MetricsRegistry::Instance().Counter("gc.scrubbed_bytes")->Add(scrubbed);
+  std::vector<Region*> sources;
+  for (auto& p : partials) {
+    sources.insert(sources.end(), p.begin(), p.end());
   }
-  return scrubbed;
+  return sources;
+}
+
+uint64_t Collector::FinishEvacuation(EvacuationTask* task, const std::vector<Region*>& cset,
+                                     uint64_t evac_t0, const char* when,
+                                     const MarkBitmap* live_filter, MarkBitmap* clear_marks) {
+  RegionManager& regions = heap_->regions();
+  task->RestoreSelfForwarded();
+  task->FinishShared();
+  std::vector<Region*> doomed;
+  doomed.reserve(cset.size());
+  for (Region* r : cset) {
+    r->set_evacuating(false);
+    if (r->evac_failed()) {
+      // In-place survivors: the region is retired to old; scrubbing turns the
+      // stale originals of copied objects into free blocks and re-records the
+      // survivors' remset edges under the region's new (old) kind.
+      r->set_evac_failed(false);
+      r->set_in_cset(false);
+      regions.RetireToOld(r);
+      ScrubRetiredEvacFailure(r);
+    } else {
+      doomed.push_back(r);
+    }
+  }
+  if (evac_t0 != 0) {
+    metrics_.AddPauseEvacNs(NowNs() - evac_t0);
+  }
+
+  // Post-evacuation verification: no root and no surviving object may still
+  // reference an unforwarded object in a region about to be freed. Regions
+  // that fail the check are quarantined (kept, pinned as old) instead of
+  // freed — the process keeps serving with bounded garbage retention.
+  if (verify_options_.enabled() && !doomed.empty()) {
+    uint64_t verify_t0 = NowNs();
+    CancellationToken verify_cancel;
+    WatchdogPhaseScope scope(watchdog_.get(), GcPhase::kVerify, &verify_cancel, &metrics_);
+    ROLP_TRACE_SCOPE("gc", "gc.phase.verify");
+    HeapVerifier verifier(heap_, safepoints_);
+    HeapVerifier::Report report = verifier.VerifyCollectionSet(
+        doomed, workers_.get(), verify_options_, NextVerifyPass(), &verify_cancel, live_filter);
+    if (ApplyVerification(when, report)) {
+      QuarantineFlagged(&verifier, doomed, &report);
+    }
+    metrics_.AddPauseVerifyNs(NowNs() - verify_t0);
+  }
+  for (Region* r : doomed) {
+    if (r->quarantined()) {
+      continue;
+    }
+    if (clear_marks != nullptr) {
+      clear_marks->ClearRange(r->begin(), r->end());
+    }
+    regions.FreeRegion(r);
+  }
+
+  uint64_t copied = task->mutator_bytes_copied();
+  uint64_t promoted = task->mutator_bytes_promoted();
+  for (uint32_t w = 0; w < task->num_workers(); w++) {
+    const EvacuationTask::Worker& ew = task->worker(w);
+    copied += ew.bytes_copied();
+    promoted += ew.bytes_promoted();
+    metrics_.AddWorkerCopiedBytes(w, ew.bytes_copied());
+  }
+  metrics_.AddBytesCopied(copied);
+  metrics_.AddBytesPromoted(promoted);
+  return copied;
+}
+
+void Collector::RunSampledWalk(const char* when) {
+  if (!verify_options_.enabled()) {
+    return;
+  }
+  uint64_t verify_t0 = NowNs();
+  RegionManager& regions = heap_->regions();
+  CancellationToken verify_cancel;
+  WatchdogPhaseScope scope(watchdog_.get(), GcPhase::kVerify, &verify_cancel, &metrics_);
+  ROLP_TRACE_SCOPE("gc", "gc.phase.verify");
+  HeapVerifier verifier(heap_, safepoints_);
+  HeapVerifier::Report report = verifier.VerifySampledWalk(
+      workers_.get(), verify_options_, NextVerifyPass(), /*repair=*/true, &verify_cancel);
+  if (ApplyVerification(when, report)) {
+    for (const HeapVerifier::Finding& f : report.findings) {
+      if (f.kind == HeapVerifier::Finding::Kind::kRegionCorrupt &&
+          f.region != HeapVerifier::Finding::kNoRegion) {
+        // Broken tiling: the region can never be walked again.
+        regions.Quarantine(&regions.region(f.region), /*walkable=*/false);
+        verify_stats_.regions_quarantined++;
+      }
+    }
+  }
+  metrics_.AddPauseVerifyNs(NowNs() - verify_t0);
 }
 
 }  // namespace rolp

@@ -17,6 +17,8 @@
 
 namespace rolp {
 
+class EvacuationTask;
+
 struct AllocRequest {
   ClassId cls = 0;
   size_t total_bytes = 0;    // header + payload, aligned
@@ -131,17 +133,30 @@ class Collector {
   // indistinguishable from a normal old region.
   void ScrubRetiredEvacFailure(Region* region);
 
-  // Region scrubbing (G1-style, post-remark): overwrite every unmarked object
-  // in a tenured region with a free-block header. Precise (marks-trusted)
-  // collections skip dead objects when scanning remset sources, so dead
-  // objects keep whatever references they held when they died — stale edges
-  // into regions the cycle frees. Nothing live ever reads those slots, but
-  // the conservative heap walk does, and conservative young scans would
-  // resurrect their referents. Scrubbing removes the stale slots from the
-  // parsable heap. Safe to run concurrently with mutators: unmarked objects
-  // are unreachable, and region iteration reads only size_bytes, which
-  // scrubbing never changes. Returns the number of bytes scrubbed.
-  size_t ScrubDeadObjects(Region* region, const MarkBitmap& bitmap);
+  // Remembered-set source regions of `cset`: regions recorded as holding
+  // references into any collection-set region, less free, cset,
+  // humongous-continuation and unscannable ones. Sharded over the cset on the
+  // workers; a region's first claimant publishes it.
+  std::vector<Region*> RemsetSources(const std::vector<Region*>& cset);
+
+  // World stopped, after the copy: restores self-forwarded marks, retires
+  // the cset regions holding in-place survivors to old
+  // (ScrubRetiredEvacFailure), books the pause's evacuation time since
+  // `evac_t0` (0: not booked), checks the other cset regions for references
+  // left behind (`live_filter`: marks trusted this cycle), quarantines the
+  // flagged ones and frees the rest, clearing their range of `clear_marks`
+  // when given. Accounts bytes copied and promoted, per worker too. Returns
+  // the bytes copied.
+  uint64_t FinishEvacuation(EvacuationTask* task, const std::vector<Region*>& cset,
+                            uint64_t evac_t0, const char* when, const MarkBitmap* live_filter,
+                            MarkBitmap* clear_marks);
+
+  // Sampled structural walk (rotating 1-in-N coverage) with repair on: region
+  // tiling, reference plausibility, stale forwarding, remset completeness and
+  // the OLD-table cross-check. Dangling references are nulled and missing
+  // remset entries re-added; a region whose tiling broke is quarantined
+  // unwalkable. No-op unless verification is on.
+  void RunSampledWalk(const char* when);
 
   // Records every cross-region edge held by `region`'s objects in the
   // targets' remsets. Needed when a young region is retired in place (pinned

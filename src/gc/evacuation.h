@@ -1,8 +1,21 @@
 // Parallel evacuation: copies live objects out of the collection set using
-// CAS-installed forwarding pointers (HotSpot-style). Workers own private
-// destination buffers (whole regions), so losing a forwarding race can undo
-// the copy bump. Evacuation failure (to-space exhaustion) self-forwards the
-// object in place and preserves its mark for restoration after the pause.
+// CAS-installed forwarding pointers (HotSpot-style). This is the one copy
+// engine of the regional collectors (G1/NG2C/ROLP, stop-the-world and
+// concurrent) and of CMS's young collections; Run is its one driver.
+//
+// Workers own private destination buffers (whole regions), so losing a
+// forwarding race can undo the copy bump. Every collector shares one
+// survivor-overflow rule: a survivor that finds no survivor space is
+// promoted, and an object that finds no old space either is self-forwarded
+// in place with its mark preserved for restoration after the pause
+// (evacuation failure).
+//
+// Policy (set from state the collector already has, not from options):
+//  * set_old_space: promotions go to a free-list old space (CMS) instead of
+//    fresh old regions. A copy may absorb a free-list sliver, and a lost
+//    forwarding race hands the block back to the free list.
+//  * set_marker: an incremental old-space mark is running (CMS); promoted
+//    copies are grayed and survivor copies inherit their original's mark.
 //
 // Concurrent mode (set_concurrent, DESIGN.md section 14): the same task also
 // runs with mutators live. Slot healing switches from plain stores to CAS so
@@ -17,6 +30,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "src/gc/gc_config.h"
@@ -28,83 +42,115 @@
 
 namespace rolp {
 
+class FreeListSpace;
+class MarkBitmap;
+class Marker;
+class WorkerPool;
+
+// The scan units of one Run, claimed by the workers from a shared cursor.
+struct EvacuationUnits {
+  // Root slots, healed in chunks of StealChunkSize().
+  std::span<std::atomic<Object*>* const> roots;
+  // Remembered-set source regions: their objects become stealable scan items.
+  std::span<Region* const> sources;
+  // Tenured regions whose unmarked objects are scrubbed into free blocks
+  // (ScrubDeadObjects); needs `marks`.
+  std::span<Region* const> scrub;
+  // Trusted marks: unmarked source objects are dead and skipped.
+  const MarkBitmap* marks = nullptr;
+  // Fail point each worker passes once on entry (stall injection).
+  const char* stall_point = nullptr;
+};
+
+// Region scrubbing (G1-style, post-remark): overwrites every unmarked object
+// in a tenured region with a free-block header. Precise (marks-trusted)
+// collections skip dead objects when scanning remset sources, so dead
+// objects keep whatever references they held when they died — stale edges
+// into regions the cycle frees. Nothing live ever reads those slots, but the
+// conservative heap walk does, and conservative young scans would resurrect
+// their referents. Scrubbing removes the stale slots from the parsable heap.
+// Safe to run concurrently with evacuation and with mutators: unmarked
+// objects are unreachable, and region iteration reads only size_bytes, which
+// scrubbing never changes. Returns the number of bytes scrubbed.
+size_t ScrubDeadObjects(Region* region, const MarkBitmap& marks);
+
 class EvacuationTask {
+  enum DestSpace : int { kDestSurvivor = 0, kDestOld = 1, kNumDestSpaces = 2 };
+
  public:
   // `cancel` (optional, watchdog): once set, workers stop copying and
   // self-forward every remaining cset object in place — the same bounded
   // failure path as to-space exhaustion, so the pause still finishes with a
   // parsable heap and failed() triggers the full-collection fallback.
   EvacuationTask(Heap* heap, const GcConfig* config, ProfilerHooks* profiler,
-                 bool survivor_tracking, CancellationToken* cancel = nullptr);
+                 bool survivor_tracking, uint32_t num_workers,
+                 CancellationToken* cancel = nullptr);
 
-  // Per-worker evacuation context. Not thread-safe; one per GC worker.
+  // Per-worker evacuation context, owned by the task. One per work item id.
   class Worker {
    public:
     Worker(EvacuationTask* task, uint32_t worker_id) : task_(task), worker_id_(worker_id) {}
 
-    // Evacuates the target of a root slot if it is in the collection set.
-    // src_region: region containing the slot (nullptr for global/thread
-    // roots); used to maintain remembered sets on updated references.
-    void ProcessRootSlot(std::atomic<Object*>* slot, Region* src_region);
-
-    // Scans one work item: heals obj's ref slots (evacuating cset targets
-    // transitively) and maintains remembered sets against obj's own region.
-    // Works uniformly for to-space copies and for live objects in remset
-    // source regions, so both kinds share the work-stealing item type.
-    void ScanObject(Object* obj);
-
-    // Drains this worker's private scan stack, evacuating transitively.
-    // Only meaningful when the task has no work-stealing pool attached
-    // (set_pool not called): with a pool, items go to the deques and the
-    // caller's steal loop drains them instead.
-    void Drain();
-
-    // Retires destination buffers; called once after Drain.
-    void Finish();
-
     uint64_t bytes_copied() const { return bytes_copied_; }
-    uint64_t objects_copied() const { return objects_copied_; }
     uint64_t bytes_promoted() const { return bytes_promoted_; }
 
    private:
     friend class EvacuationTask;
 
-    enum DestSpace : int { kDestSurvivor = 0, kDestOld = 1, kNumDestSpaces = 2 };
-
-    Object* EvacuateOrForward(Object* obj);
-    char* AllocInDest(int space, size_t bytes);
-    // Publishes an object whose referents still need scanning: onto this
-    // worker's deque when a pool is attached, else the private scan stack.
-    void Emit(Object* obj);
+    // Evacuates the target of a root slot if it is in the collection set.
+    // src_region: region containing the slot (nullptr for global/thread
+    // roots); used to maintain remembered sets on updated references.
+    void ProcessRootSlot(std::atomic<Object*>* slot, Region* src_region);
+    // Scans one work item: heals obj's ref slots (evacuating cset targets
+    // transitively) and maintains remembered sets against obj's own region.
+    // Works uniformly for to-space copies and for live objects in remset
+    // source regions, so both kinds share the work-stealing item type.
+    void ScanObject(Object* obj);
+    // Retires destination buffers (frees empty ones).
+    void Finish();
 
     EvacuationTask* task_;
     uint32_t worker_id_;
     Region* dest_[kNumDestSpaces] = {nullptr, nullptr};
-    std::vector<Object*> scan_stack_;
     // Marks of self-forwarded objects, restored after the pause.
     std::vector<std::pair<Object*, uint64_t>> preserved_marks_;
     uint64_t bytes_copied_ = 0;
-    uint64_t objects_copied_ = 0;
     uint64_t bytes_promoted_ = 0;
   };
 
-  Worker MakeWorker(uint32_t worker_id) { return Worker(this, worker_id); }
+  // --- Policy (before any Run) ---------------------------------------------
+  void set_old_space(FreeListSpace* space) { old_space_ = space; }
+  void set_marker(Marker* marker) { marker_ = marker; }
 
-  // Attaches the per-pause work-stealing pool. When set, workers Emit
-  // discovered objects onto their own deque (pool->Push(worker_id, obj)) so
-  // idle workers can steal them; the caller owns termination via the pool's
-  // outstanding counter. When unset, workers fall back to private scan
-  // stacks drained by Drain() (single-threaded building block, tests).
-  void set_pool(WorkStealingPool<Object*>* pool) { pool_ = pool; }
+  // The driver. Dispatches one item per worker on `pool`: each claims scan
+  // units (root chunks, then source regions, then scrub regions) from a
+  // shared cursor, publishing every object that needs a referent scan —
+  // to-space copies and live source-region objects alike — on its own
+  // Chase-Lev deque, then drains the deques (and, in concurrent mode, the
+  // mutator-injected items) with stealing until the shared outstanding count
+  // reaches zero, and finally retires its destination buffers. No
+  // cancellation bail-out: once cancelled, copying degrades to bounded
+  // self-forward healing that must still run for the heap to stay parsable.
+  // Runs may repeat on one task. With no `pool`, the calling thread runs
+  // worker 0's part alone: the concurrent cycle's final pause, whose few
+  // leftovers do not pay for waking the workers.
+  void Run(WorkerPool* pool, const EvacuationUnits& units);
 
-  // Whether any worker hit to-space exhaustion.
+  // Heals `roots` on the calling thread as worker 0 without draining: the
+  // copies wait on worker 0's deque for the next Run. The concurrent cycle's
+  // arming pause uses it to establish the to-space invariant for roots.
+  void HealRoots(std::span<std::atomic<Object*>* const> roots);
+
+  // Whether any object was self-forwarded (to-space exhaustion or cancel).
   bool failed() const { return failed_.load(std::memory_order_relaxed); }
+
+  uint32_t num_workers() const { return static_cast<uint32_t>(workers_.size()); }
+  const Worker& worker(uint32_t w) const { return workers_[w]; }
 
   // --- Concurrent mode ------------------------------------------------------
   // Must be set before any worker runs; once on, ScanObject heals slots with
   // CAS (keeping racing mutator stores) and MutatorHeal becomes legal.
   void set_concurrent(bool v) { concurrent_ = v; }
-  bool concurrent() const { return concurrent_; }
 
   // Mutator-side copy-on-first-touch (load-barrier slow path). Returns the
   // to-space address of `obj` (copying it if unforwarded), or `obj` itself
@@ -114,70 +160,61 @@ class EvacuationTask {
   // race with GC workers and other mutators; any thread may call it.
   Object* MutatorHeal(Object* obj);
 
-  // Pops one injected object (mutator-made copy or self-forward needing a
-  // referent scan). Workers poll this alongside the stealing pool; the final
-  // pause drains the leftovers injected after the workers exited. The
-  // injection was pre-counted in the pool's outstanding counter (when one is
-  // attached), so a worker that processes the item must still FinishOne(w).
-  bool TakeInjected(Object** out);
-
   // Frees empty shared to-space buffers (final pause, after all healing).
   void FinishShared();
 
-  uint64_t mutator_objects_copied() const {
-    return mutator_objects_copied_.load(std::memory_order_relaxed);
-  }
   uint64_t mutator_bytes_copied() const {
     return mutator_bytes_copied_.load(std::memory_order_relaxed);
   }
   uint64_t mutator_bytes_promoted() const {
     return mutator_bytes_promoted_.load(std::memory_order_relaxed);
   }
-  // Bytes wasted by mutator copies that lost the forwarding race (scrubbed
-  // into free blocks in to-space).
-  uint64_t mutator_lost_race_bytes() const {
-    return mutator_lost_race_bytes_.load(std::memory_order_relaxed);
-  }
 
-  // After all workers finished: restores self-forwarded marks (the workers'
-  // private lists plus the shared mutator-side list) and flags each region
+  // After all copying: restores self-forwarded marks (the workers' private
+  // lists plus the shared mutator-side list) and flags each region
   // containing in-place survivors via Region::set_evac_failed (the collector
   // reads and clears the flag while walking the cset — O(cset), not
   // O(cset * failed)). Returns how many objects were self-forwarded.
-  // Workers must be passed in; their preserved lists live in them.
-  size_t RestoreSelfForwarded(std::vector<Worker>& workers);
-
-  Heap* heap() { return heap_; }
+  size_t RestoreSelfForwarded();
 
  private:
-  // Shared to-space bump allocation for mutator heals (lock-guarded: mutator
-  // copies are rare transients, the workers do the bulk through their private
-  // buffers). GC-internal, so it may dip into the governor's evacuation
-  // reserve.
-  char* AllocShared(int space, size_t bytes);
-  // Queues an object for a referent scan from a non-worker thread,
-  // pre-counting it in the pool's outstanding counter so the workers'
-  // termination check covers it.
-  void Inject(Object* obj);
+  // The one copy routine. `w` is the calling GC worker, or nullptr for a
+  // mutator heal. Returns the forwardee of `obj`: the winning copy, or `obj`
+  // itself once self-forwarded (no space, or cancelled). A worker publishes
+  // the result on its deque; a mutator injects it.
+  Object* Evacuate(Object* obj, Worker* w);
+  // Allocates `bytes` for a copy into *space under the survivor-overflow
+  // rule: *space becomes kDestOld on a promotion, *actual the block size.
+  // Workers bump their private buffers; mutators bump the shared ones under
+  // shared_lock_ (mutator copies are rare transients). GC-internal, so it
+  // may dip into the governor's evacuation reserve.
+  char* AllocCopy(Worker* w, int* space, size_t bytes, size_t* actual);
+  char* BumpInDest(Region** dest, int space, size_t bytes);
+  // Hands an object whose referents still need a scan to the workers.
+  void Publish(Object* obj, Worker* w);
+  // Pops one injected object. The injection was pre-counted in the pool's
+  // outstanding counter, so the worker that processes it still FinishOne(w)s.
+  bool TakeInjected(Object** out);
 
   Heap* heap_;
   const GcConfig* config_;
   ProfilerHooks* profiler_;
   bool survivor_tracking_;
   CancellationToken* cancel_;
-  WorkStealingPool<Object*>* pool_ = nullptr;
+  FreeListSpace* old_space_ = nullptr;
+  Marker* marker_ = nullptr;
+  WorkStealingPool<Object*> pool_;
+  std::vector<Worker> workers_;
   std::atomic<bool> failed_{false};
 
   bool concurrent_ = false;
   SpinLock shared_lock_;  // guards shared_dest_, injected_, shared_preserved_
-  Region* shared_dest_[Worker::kNumDestSpaces] = {nullptr, nullptr};
+  Region* shared_dest_[kNumDestSpaces] = {nullptr, nullptr};
   std::vector<Object*> injected_;
   std::atomic<size_t> injected_count_{0};  // lock-free emptiness fast path
   std::vector<std::pair<Object*, uint64_t>> shared_preserved_;
-  std::atomic<uint64_t> mutator_objects_copied_{0};
   std::atomic<uint64_t> mutator_bytes_copied_{0};
   std::atomic<uint64_t> mutator_bytes_promoted_{0};
-  std::atomic<uint64_t> mutator_lost_race_bytes_{0};
 };
 
 }  // namespace rolp

@@ -515,8 +515,7 @@ std::vector<uint32_t> HeapVerifier::CascadeQuarantine(const std::vector<Region*>
       if (markword::IsForwarded(m)) {
         // The live copy moved out; turn the stale original into a free block
         // so future walks and scans of this pinned region skip it.
-        obj->StoreMark(0);
-        obj->class_id = kFreeBlockClassId;
+        ScrubToFreeBlock(obj);
         return;
       }
       heap_->ForEachRefSlot(obj, [&](std::atomic<Object*>* slot) {
@@ -610,8 +609,7 @@ void HeapVerifier::WalkRegionChecked(Region* region, const VerifyOptions& opts, 
         report->Add(std::move(f));
         if (repair) {
           // The live copy is elsewhere; scrub so the region stays walkable.
-          obj->StoreMark(0);
-          obj->class_id = kFreeBlockClassId;
+          ScrubToFreeBlock(obj);
         }
       } else {
         // OLD-table cross-check: a live profiled object's context must

@@ -52,6 +52,17 @@ class Marker {
     }
   }
 
+  // A young evacuation copied `from` to `copy` while a cycle runs: a promoted
+  // copy enters the old space unmarked, so it is grayed for the marker to
+  // mark and trace; a survivor copy keeps its original's mark. Thread-safe.
+  void OnYoungCopy(const Object* from, Object* copy, bool promoted) {
+    if (promoted) {
+      BarrierPush(copy);
+    } else if (bitmap_->IsMarked(from)) {
+      bitmap_->Mark(copy);
+    }
+  }
+
   // One slice: traces objects until `budget_bytes` of them are scanned or the
   // worklists run dry. Returns true when both the mark stack and the gray
   // queue are drained. Slices are serialized; a caller that finds another

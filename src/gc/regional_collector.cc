@@ -8,7 +8,6 @@
 #include "src/gc/evacuation.h"
 #include "src/gc/mark_compact.h"
 #include "src/gc/marking.h"
-#include "src/gc/stealable_queue.h"
 #include "src/util/clock.h"
 #include "src/util/fault_injection.h"
 #include "src/util/log.h"
@@ -28,25 +27,17 @@ constexpr int kMaxAllocationAttempts = 16;
 struct RegionalCollector::ConcurrentCycle {
   ConcurrentCycle(Heap* heap, const GcConfig* config, ProfilerHooks* profiler,
                   bool survivor_tracking, uint32_t num_workers)
-      : task(heap, config, profiler, survivor_tracking, &cancel), pool(num_workers) {
+      : task(heap, config, profiler, survivor_tracking, num_workers, &cancel) {
     task.set_concurrent(true);
-    task.set_pool(&pool);
-    eworkers.reserve(num_workers);
-    for (uint32_t w = 0; w < num_workers; w++) {
-      eworkers.push_back(task.MakeWorker(w));
-    }
   }
 
   CancellationToken cancel;  // must precede task (task holds a pointer to it)
   EvacuationTask task;
-  WorkStealingPool<Object*> pool;
-  std::vector<EvacuationTask::Worker> eworkers;
   std::vector<Region*> cset;
   std::vector<Region*> remset_sources;
   std::vector<Region*> scrub_list;
   bool mixed = false;
   bool trust_marks = false;
-  std::atomic<size_t> unit_cursor{0};
 };
 
 RegionalCollector::RegionalCollector(Heap* heap, const GcConfig& config,
@@ -453,30 +444,7 @@ void RegionalCollector::DoYoungOrMixed(MutatorContext* ctx) {
       }
     }
 
-    // Remembered-set source regions: regions recorded as holding references
-    // into any collection-set region. Sharded over the cset; a region's first
-    // claimant (atomic exchange on its seen byte) publishes it.
-    std::unique_ptr<std::atomic<uint8_t>[]> seen(
-        new std::atomic<uint8_t>[regions.num_regions()]());
-    std::vector<std::vector<Region*>> source_partials(n);
-    workers_->ParallelFor(cset.size(), 4, [&](uint32_t w, size_t begin, size_t end) {
-      for (size_t i = begin; i < end; i++) {
-        cset[i]->ForEachRemsetRegion([&](uint32_t idx) {
-          if (seen[idx].load(std::memory_order_relaxed) != 0 ||
-              seen[idx].exchange(1, std::memory_order_relaxed) != 0) {
-            return;
-          }
-          Region* s = &regions.region(idx);
-          if (!s->IsFree() && !s->in_cset() && s->kind() != RegionKind::kHumongousCont &&
-              !s->IsUnscannable()) {
-            source_partials[w].push_back(s);
-          }
-        });
-      }
-    });
-    for (auto& v : source_partials) {
-      remset_sources.insert(remset_sources.end(), v.begin(), v.end());
-    }
+    remset_sources = RemsetSources(cset);
   }
 
   // Roots.
@@ -502,177 +470,25 @@ void RegionalCollector::DoYoungOrMixed(MutatorContext* ctx) {
     return;
   }
 
-  // ---- Work-stealing evacuation -------------------------------------------
-  // Scan units (root-slot chunks, then one unit per remset source region) are
-  // claimed from a shared cursor; every object needing a referent scan —
-  // to-space copies and live source-region objects alike — becomes an item on
-  // the claiming worker's Chase-Lev deque, stealable by idle workers. The
-  // pool's outstanding counter (scan units pre-added, items counted at Push,
-  // finished units flushed in batches from per-worker credit) provides
-  // termination: a worker whose queues all look empty flushes its credit and
-  // spins until the counter drains, since a straggler may still publish work.
+  // ---- Work-stealing evacuation (EvacuationTask::Run) --------------------
+  // Scrub units ride in the same cursor: the scrubbed objects are dead, so
+  // the rewrite races with no copy.
   CancellationToken evac_cancel;
-  EvacuationTask task(heap_, &config_, profiler_, survivor_tracking_on, &evac_cancel);
-  WorkStealingPool<Object*> pool(n);
-  task.set_pool(&pool);
-  std::vector<EvacuationTask::Worker> eworkers;
-  eworkers.reserve(n);
-  for (uint32_t w = 0; w < n; w++) {
-    eworkers.push_back(task.MakeWorker(w));
-  }
-  const size_t chunk = StealChunkSize();
-  const size_t root_units = (roots.size() + chunk - 1) / chunk;
-  const size_t total_units = root_units + remset_sources.size();
-  pool.AddOutstanding(static_cast<int64_t>(total_units));
-  std::atomic<size_t> unit_cursor{0};
+  EvacuationTask task(heap_, &config_, profiler_, survivor_tracking_on, n, &evac_cancel);
   {
     WatchdogPhaseScope scope(watchdog_.get(), GcPhase::kEvacuate, &evac_cancel, &metrics_);
     ROLP_TRACE_SCOPE("gc", "gc.phase.evacuate");
-    workers_->RunTask([&](uint32_t w) {
-      // Stall-only fail point: a delay:<ms> arm sleeps here and returns false.
-      (void)ROLP_FAULT_POINT("gc.phase.evacuate.stall");
-      EvacuationTask::Worker& ew = eworkers[w];
-      for (;;) {
-        size_t u = unit_cursor.fetch_add(1, std::memory_order_relaxed);
-        if (u >= total_units) {
-          break;
-        }
-        workers_->Heartbeat(w);
-        if (u < root_units) {
-          size_t begin = u * chunk;
-          size_t end = begin + chunk < roots.size() ? begin + chunk : roots.size();
-          for (size_t i = begin; i < end; i++) {
-            ew.ProcessRootSlot(roots[i], nullptr);
-          }
-        } else {
-          // Source regions enqueue their live objects as stealable items
-          // rather than scanning inline: one dense region no longer
-          // serializes the phase on whichever worker claimed it.
-          Region* s = remset_sources[u - root_units];
-          s->ForEachObject([&](Object* obj) {
-            if (trust_marks && !bitmap_.IsMarked(obj)) {
-              return;  // precise: skip dead objects when marks are fresh
-            }
-            if (heap_->HasRefSlots(obj)) {
-              pool.Push(w, obj);
-            }
-          });
-        }
-        pool.FinishOne(w);
-      }
-      // Drain: keep scanning until the whole phase is done. No cancellation
-      // bail-out here — once cancelled, EvacuateOrForward self-forwards
-      // everything it meets, so the remaining work is bounded slot healing
-      // that must still happen for the heap to stay parsable.
-      uint64_t steps = 0;
-      Object* obj = nullptr;
-      for (;;) {
-        if (pool.TryGet(w, &obj)) {
-          ew.ScanObject(obj);
-          pool.FinishOne(w);
-          if ((++steps & 63) == 0) {
-            workers_->Heartbeat(w);
-          }
-          continue;
-        }
-        if (pool.Done()) {
-          break;
-        }
-        workers_->Heartbeat(w);
-        std::this_thread::yield();
-      }
-      ew.Finish();
-    });
+    EvacuationUnits units;
+    units.roots = roots;
+    units.sources = remset_sources;
+    units.scrub = scrub_list;
+    units.marks = trust_marks ? &bitmap_ : nullptr;
+    units.stall_point = "gc.phase.evacuate.stall";
+    task.Run(workers_.get(), units);
   }
-
-  if (!scrub_list.empty()) {
-    WatchdogPhaseScope scrub_scope(watchdog_.get(), GcPhase::kEvacuate, nullptr, &metrics_);
-    workers_->ParallelFor(scrub_list.size(), 1, [&](uint32_t w, size_t begin, size_t end) {
-      for (size_t i = begin; i < end; i++) {
-        workers_->Heartbeat(w);
-        ScrubDeadObjects(scrub_list[i], bitmap_);
-      }
-    });
-  }
-
-  task.RestoreSelfForwarded(eworkers);
-  std::vector<Region*> doomed;
-  doomed.reserve(cset.size());
-  for (Region* r : cset) {
-    if (r->evac_failed()) {
-      // In-place survivors: the region is retired to old; scrubbing turns the
-      // stale originals of copied objects into free blocks and re-records the
-      // survivors' remset edges under the region's new (old) kind.
-      r->set_evac_failed(false);
-      r->set_in_cset(false);
-      regions.RetireToOld(r);
-      ScrubRetiredEvacFailure(r);
-    } else {
-      doomed.push_back(r);
-    }
-  }
-
-  metrics_.AddPauseEvacNs(NowNs() - evac_t0);
-
-  // Post-evacuation verification: no root and no surviving object may still
-  // reference an unforwarded object in a region about to be freed. Regions
-  // that fail the check are quarantined (kept, pinned as old) instead of
-  // freed — the process keeps serving with bounded garbage retention.
-  if (verify_options_.enabled() && !doomed.empty()) {
-    uint64_t verify_t0 = NowNs();
-    CancellationToken verify_cancel;
-    WatchdogPhaseScope scope(watchdog_.get(), GcPhase::kVerify, &verify_cancel, &metrics_);
-    ROLP_TRACE_SCOPE("gc", "gc.phase.verify");
-    HeapVerifier verifier(heap_, safepoints_);
-    HeapVerifier::Report report = verifier.VerifyCollectionSet(
-        doomed, workers_.get(), verify_options_, NextVerifyPass(), &verify_cancel,
-        trust_marks ? &bitmap_ : nullptr);
-    if (ApplyVerification("post-evacuation", report)) {
-      QuarantineFlagged(&verifier, doomed, &report);
-    }
-    metrics_.AddPauseVerifyNs(NowNs() - verify_t0);
-  }
-  for (Region* r : doomed) {
-    if (!r->quarantined()) {
-      regions.FreeRegion(r);
-    }
-  }
-
-  // Sampled structural walk (rotating 1-in-N coverage): region tiling,
-  // reference plausibility, stale forwarding, remset completeness, and the
-  // OLD-table cross-check. Runs with repair on — dangling references are
-  // nulled and missing remset entries re-added rather than only reported.
-  if (verify_options_.enabled()) {
-    uint64_t verify_t0 = NowNs();
-    CancellationToken verify_cancel;
-    WatchdogPhaseScope scope(watchdog_.get(), GcPhase::kVerify, &verify_cancel, &metrics_);
-    ROLP_TRACE_SCOPE("gc", "gc.phase.verify");
-    HeapVerifier verifier(heap_, safepoints_);
-    HeapVerifier::Report report = verifier.VerifySampledWalk(
-        workers_.get(), verify_options_, NextVerifyPass(), /*repair=*/true, &verify_cancel);
-    if (ApplyVerification("sampled-walk", report)) {
-      for (const HeapVerifier::Finding& f : report.findings) {
-        if (f.kind == HeapVerifier::Finding::Kind::kRegionCorrupt &&
-            f.region != HeapVerifier::Finding::kNoRegion) {
-          // Broken tiling: the region can never be walked again.
-          regions.Quarantine(&regions.region(f.region), /*walkable=*/false);
-          verify_stats_.regions_quarantined++;
-        }
-      }
-    }
-    metrics_.AddPauseVerifyNs(NowNs() - verify_t0);
-  }
-
-  uint64_t copied = 0;
-  uint64_t promoted = 0;
-  for (uint32_t w = 0; w < n; w++) {
-    EvacuationTask::Worker& ew = eworkers[w];
-    copied += ew.bytes_copied();
-    promoted += ew.bytes_promoted();
-    metrics_.AddWorkerCopiedBytes(w, ew.bytes_copied());
-  }
-  metrics_.AddBytesCopied(copied);
-  metrics_.AddBytesPromoted(promoted);
+  uint64_t copied = FinishEvacuation(&task, cset, evac_t0, "post-evacuation",
+                                     trust_marks ? &bitmap_ : nullptr, nullptr);
+  RunSampledWalk("sampled-walk");
   metrics_.IncrementGcCycles();
   heap_->UpdateMaxUsedBytes();
 
@@ -727,23 +543,14 @@ void RegionalCollector::StartConcurrentEvacuation(std::vector<Region*> cset,
   for (Region* r : c.cset) {
     r->set_evacuating(true);
   }
-  // One claimable unit per remset source region and per scrub region; roots
-  // are healed right here instead. Count the units before any worker can
-  // observe the pool.
-  c.pool.AddOutstanding(
-      static_cast<int64_t>(c.remset_sources.size() + c.scrub_list.size()));
-
   {
-    // Eager root healing (to-space invariant): after this loop no root holds
-    // a from-space cset pointer, so a mutator can only ever meet one through
-    // a heap slot — which its load barrier heals. Copies made here land on
-    // eworkers[0]'s deque (the pause thread owns it until worker 0 starts)
-    // for the off-pause workers to scan.
+    // Eager root healing (to-space invariant): after this no root holds a
+    // from-space cset pointer, so a mutator can only ever meet one through a
+    // heap slot — which its load barrier heals. The copies wait on worker
+    // 0's deque for the off-pause workers to scan.
     WatchdogPhaseScope scope(watchdog_.get(), GcPhase::kEvacuate, &c.cancel, &metrics_);
     ROLP_TRACE_SCOPE("gc", "gc.phase.evacuate");
-    for (std::atomic<Object*>* slot : roots) {
-      c.eworkers[0].ProcessRootSlot(slot, nullptr);
-    }
+    c.task.HealRoots(roots);
   }
 
   evac_armed_.store(true, std::memory_order_release);
@@ -781,64 +588,17 @@ void RegionalCollector::ConcurrentDriver() {
   {
     WatchdogPhaseScope scope(watchdog_.get(), GcPhase::kConcurrentEvac, &c.cancel, &metrics_);
     ROLP_TRACE_SCOPE("gc", "gc.phase.concurrent-evac");
-    workers_->RunTask([&](uint32_t w) {
-      // Stall-only fail point: a delay:<ms> arm sleeps here and returns false.
-      (void)ROLP_FAULT_POINT("gc.concurrent_evac.stall");
-      uint64_t cpu0 = ThreadCpuNs();
-      EvacuationTask::Worker& ew = c.eworkers[w];
-      const size_t src_units = c.remset_sources.size();
-      const size_t total_units = src_units + c.scrub_list.size();
-      for (;;) {
-        size_t u = c.unit_cursor.fetch_add(1, std::memory_order_relaxed);
-        if (u >= total_units) {
-          break;
-        }
-        workers_->Heartbeat(w);
-        if (u < src_units) {
-          // Safe to walk off-pause: mutators only allocate into regions that
-          // were free at the arming pause, which are never remset sources, and
-          // object sizes never change in place.
-          Region* s = c.remset_sources[u];
-          s->ForEachObject([&](Object* obj) {
-            if (c.trust_marks && !bitmap_.IsMarked(obj)) {
-              return;  // precise: skip dead objects when marks are fresh
-            }
-            if (heap_->HasRefSlots(obj)) {
-              c.pool.Push(w, obj);
-            }
-          });
-        } else {
-          // Scrub units: dead objects are unreachable, so the free-block
-          // rewrite races with nothing — a source-scan unit walking the same
-          // region concurrently reads only size_bytes and marked objects.
-          ScrubDeadObjects(c.scrub_list[u - src_units], bitmap_);
-        }
-        c.pool.FinishOne(w);
-      }
-      // Drain: items from the deques plus objects injected by mutator heals
-      // (pre-counted in the outstanding counter). No cancellation bail-out —
-      // once cancelled, copying degrades to bounded self-forward healing that
-      // must still run for the heap to stay parsable.
-      uint64_t steps = 0;
-      Object* obj = nullptr;
-      for (;;) {
-        if (c.pool.TryGet(w, &obj) || c.task.TakeInjected(&obj)) {
-          ew.ScanObject(obj);
-          c.pool.FinishOne(w);
-          if ((++steps & 63) == 0) {
-            workers_->Heartbeat(w);
-          }
-          continue;
-        }
-        if (c.pool.Done()) {
-          break;
-        }
-        workers_->Heartbeat(w);
-        std::this_thread::yield();
-      }
-      ew.Finish();
-      metrics_.AddEvacCpuNs(ThreadCpuNs() - cpu0);
-    });
+    // Remset-source walks are safe off-pause: mutators only allocate into
+    // regions that were free at the arming pause, which are never sources.
+    // Mutator-injected items are drained with the deques.
+    EvacuationUnits units;
+    units.sources = c.remset_sources;
+    units.scrub = c.scrub_list;
+    units.marks = c.trust_marks ? &bitmap_ : nullptr;
+    units.stall_point = "gc.concurrent_evac.stall";
+    WorkerCpuSink evac_cpu;
+    c.task.Run(workers_.get(), units);
+    metrics_.AddEvacCpuNs(evac_cpu.ns());
   }
   // Final remap pause. BeginOperation returning false means another
   // mutator's operation ran first — but the TryCollect/CollectFull guards
@@ -862,97 +622,29 @@ void RegionalCollector::ConcurrentDriver() {
 
 void RegionalCollector::FinishConcurrentCycle() {
   ConcurrentCycle& c = *cycle_;
-  RegionManager& regions = heap_->regions();
   uint64_t t0 = NowNs();
   uint64_t cpu0 = ThreadCpuNs();
+  WorkerCpuSink workers_cpu;
   PreparePause();
 
   {
-    WatchdogPhaseScope scope(watchdog_.get(), GcPhase::kEvacuate, nullptr, &metrics_);
-    ROLP_TRACE_SCOPE("gc", "gc.phase.remap");
-    // Drain objects injected after the workers exited, then re-heal the
+    // Drain the objects injected after the workers exited and re-heal the
     // roots: handles created during the window already hold healed values
     // (every mutator load passed the barrier), so this pass only matters for
     // cancelled cycles and costs one in-cset check per root otherwise.
-    c.task.set_pool(nullptr);
-    EvacuationTask::Worker& w0 = c.eworkers[0];
-    Object* obj = nullptr;
-    while (c.task.TakeInjected(&obj)) {
-      w0.ScanObject(obj);
-    }
-    w0.Drain();
+    WatchdogPhaseScope scope(watchdog_.get(), GcPhase::kEvacuate, nullptr, &metrics_);
+    ROLP_TRACE_SCOPE("gc", "gc.phase.remap");
+    std::vector<std::atomic<Object*>*> roots;
     ForEachRootSlot(heap_->roots(), safepoints_,
-                    [&](std::atomic<Object*>* slot) { w0.ProcessRootSlot(slot, nullptr); });
-    w0.Drain();
-    w0.Finish();
+                    [&](std::atomic<Object*>* slot) { roots.push_back(slot); });
+    EvacuationUnits units;
+    units.roots = roots;
+    c.task.Run(/*pool=*/nullptr, units);
   }
-
-  c.task.RestoreSelfForwarded(c.eworkers);
-  c.task.FinishShared();
-  std::vector<Region*> doomed;
-  doomed.reserve(c.cset.size());
-  for (Region* r : c.cset) {
-    r->set_evacuating(false);
-    if (r->evac_failed()) {
-      r->set_evac_failed(false);
-      r->set_in_cset(false);
-      regions.RetireToOld(r);
-      ScrubRetiredEvacFailure(r);
-    } else {
-      doomed.push_back(r);
-    }
-  }
-
-  if (verify_options_.enabled() && !doomed.empty()) {
-    uint64_t verify_t0 = NowNs();
-    CancellationToken verify_cancel;
-    WatchdogPhaseScope scope(watchdog_.get(), GcPhase::kVerify, &verify_cancel, &metrics_);
-    ROLP_TRACE_SCOPE("gc", "gc.phase.verify");
-    HeapVerifier verifier(heap_, safepoints_);
-    HeapVerifier::Report report = verifier.VerifyCollectionSet(
-        doomed, workers_.get(), verify_options_, NextVerifyPass(), &verify_cancel,
-        c.trust_marks ? &bitmap_ : nullptr);
-    if (ApplyVerification("post-concurrent-evacuation", report)) {
-      QuarantineFlagged(&verifier, doomed, &report);
-    }
-    metrics_.AddPauseVerifyNs(NowNs() - verify_t0);
-  }
-  for (Region* r : doomed) {
-    if (!r->quarantined()) {
-      regions.FreeRegion(r);
-    }
-  }
-
-  if (verify_options_.enabled()) {
-    uint64_t verify_t0 = NowNs();
-    CancellationToken verify_cancel;
-    WatchdogPhaseScope scope(watchdog_.get(), GcPhase::kVerify, &verify_cancel, &metrics_);
-    ROLP_TRACE_SCOPE("gc", "gc.phase.verify");
-    HeapVerifier verifier(heap_, safepoints_);
-    HeapVerifier::Report report = verifier.VerifySampledWalk(
-        workers_.get(), verify_options_, NextVerifyPass(), /*repair=*/true, &verify_cancel);
-    if (ApplyVerification("sampled-walk", report)) {
-      for (const HeapVerifier::Finding& f : report.findings) {
-        if (f.kind == HeapVerifier::Finding::Kind::kRegionCorrupt &&
-            f.region != HeapVerifier::Finding::kNoRegion) {
-          regions.Quarantine(&regions.region(f.region), /*walkable=*/false);
-          verify_stats_.regions_quarantined++;
-        }
-      }
-    }
-    metrics_.AddPauseVerifyNs(NowNs() - verify_t0);
-  }
-
-  uint64_t copied = c.task.mutator_bytes_copied();
-  uint64_t promoted = c.task.mutator_bytes_promoted();
-  for (uint32_t w = 0; w < c.eworkers.size(); w++) {
-    EvacuationTask::Worker& ew = c.eworkers[w];
-    copied += ew.bytes_copied();
-    promoted += ew.bytes_promoted();
-    metrics_.AddWorkerCopiedBytes(w, ew.bytes_copied());
-  }
-  metrics_.AddBytesCopied(copied);
-  metrics_.AddBytesPromoted(promoted);
+  uint64_t copied = FinishEvacuation(&c.task, c.cset, /*evac_t0=*/0,
+                                     "post-concurrent-evacuation",
+                                     c.trust_marks ? &bitmap_ : nullptr, nullptr);
+  RunSampledWalk("sampled-walk");
   metrics_.IncrementGcCycles();
   heap_->UpdateMaxUsedBytes();
 
@@ -963,7 +655,7 @@ void RegionalCollector::FinishConcurrentCycle() {
 
   uint64_t t1 = NowNs();
   metrics_.AddPauseRemapNs(t1 - t0);
-  metrics_.AddRemapCpuNs(ThreadCpuNs() - cpu0);
+  metrics_.AddRemapCpuNs(ThreadCpuNs() - cpu0 + workers_cpu.ns());
   PauseRecord rec{t0, t1 - t0, PauseKind::kRemap, copied};
   metrics_.RecordPause(rec);
   Trace::EmitComplete("gc", "gc.pause", rec.start_ns, rec.duration_ns,
@@ -1011,26 +703,7 @@ void RegionalCollector::DoFull(uint64_t t0) {
   // region and rebuilt every remembered set, so check the result before
   // resuming the mutators. Walkable quarantined regions were rehabilitated by
   // the compactor; anything still broken gets re-quarantined here.
-  if (verify_options_.enabled()) {
-    uint64_t verify_t0 = NowNs();
-    RegionManager& regions = heap_->regions();
-    CancellationToken verify_cancel;
-    WatchdogPhaseScope vscope(watchdog_.get(), GcPhase::kVerify, &verify_cancel, &metrics_);
-    ROLP_TRACE_SCOPE("gc", "gc.phase.verify");
-    HeapVerifier verifier(heap_, safepoints_);
-    HeapVerifier::Report report = verifier.VerifySampledWalk(
-        workers_.get(), verify_options_, NextVerifyPass(), /*repair=*/true, &verify_cancel);
-    if (ApplyVerification("post-compaction", report)) {
-      for (const HeapVerifier::Finding& f : report.findings) {
-        if (f.kind == HeapVerifier::Finding::Kind::kRegionCorrupt &&
-            f.region != HeapVerifier::Finding::kNoRegion) {
-          regions.Quarantine(&regions.region(f.region), /*walkable=*/false);
-          verify_stats_.regions_quarantined++;
-        }
-      }
-    }
-    metrics_.AddPauseVerifyNs(NowNs() - verify_t0);
-  }
+  RunSampledWalk("post-compaction");
   metrics_.AddBytesCopied(moved);
   metrics_.IncrementGcCycles();
   heap_->UpdateMaxUsedBytes();

@@ -22,10 +22,12 @@
 // Pause brackets: a collector opens a PauseBracket for the length of a
 // stop-the-world pause. Opening it wakes the workers once; until it closes
 // they spin between items instead of parking, and RunTask spin-waits on the
-// completion count instead of sleeping on a condvar, so the pause's
-// back-to-back phases pay no wake-ups. Closing it parks the workers at once.
+// completion count for a short fixed bound before it sleeps on a condvar, so
+// the pause's short back-to-back phases pay no wake-ups and a long phase
+// does not hold one more CPU. Closing it parks the workers at once.
 // Dispatches outside a bracket (the concurrent-evacuation driver, tests)
-// park and wake as before.
+// park and wake as before. Either way a finishing worker notifies the
+// dispatcher only when it is the last one and the dispatcher has parked.
 #ifndef SRC_GC_WORKER_POOL_H_
 #define SRC_GC_WORKER_POOL_H_
 
@@ -117,6 +119,8 @@ class WorkerPool {
   // not count), and times a worker went to sleep on its condvar.
   uint64_t dispatches() const;
   uint64_t parks() const;
+  // Times a RunTask caller stopped spinning and slept on its condvar.
+  uint64_t waiter_parks() const;
 
   // --- Heartbeats (watchdog) ----------------------------------------------
   // When disabled (default), Heartbeat is a single relaxed load + branch.
@@ -179,6 +183,8 @@ class WorkerPool {
     uint64_t requeued_total = 0;
     uint64_t dispatches = 0;
     uint64_t parks = 0;
+    bool waiter_parked = false;        // RunTask sleeps on cv_done
+    uint64_t waiter_parks = 0;
 
     // Written under mu, read lock-free by spinning threads.
     std::atomic<uint32_t> completed{0};

@@ -70,8 +70,10 @@ Object* ZgcCollector::Relocate(Object* obj, bool* copied_here) {
       }
       return copy;
     }
-    // Lost the race; the duplicate copy in to-space stays as (walkable) dead
-    // data and is reclaimed next cycle.
+    // Lost the race. The shared bump cannot be retreated, so the duplicate
+    // becomes a free block, as in EvacuationTask::MutatorHeal: no
+    // live-looking object with slots into the relocation set is left behind.
+    ScrubToFreeBlock(copy);
   }
 }
 
@@ -479,7 +481,7 @@ void ZgcCollector::FinishCycle(MutatorContext* ctx) {
     // ZGC keeps no remembered sets, and Relocate copies marks verbatim so
     // to-space copies are unmarked at their new addresses. Restrict the sweep
     // to marked objects: unmarked ones are either dead or already-healed
-    // copies (and lost-race duplicates are walkable dead data by design).
+    // copies (lost-race duplicates are free blocks, which the sweep skips).
     HeapVerifier verifier(heap_, safepoints_, /*check_remsets=*/false);
     HeapVerifier::Report report = verifier.VerifyCollectionSet(
         doomed, workers_.get(), verify_options_, NextVerifyPass(), &verify_cancel,

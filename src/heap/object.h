@@ -172,6 +172,14 @@ inline void CopyObjectWords(char* to, Object* from, size_t size) {
   }
 }
 
+// Turns a dead object (a stale original, a lost-race duplicate, an unmarked
+// object) into a free block of the same size: the region stays walkable, and
+// slot walks and the verifier skip it.
+inline void ScrubToFreeBlock(Object* obj) {
+  obj->StoreMark(0);
+  obj->class_id = kFreeBlockClassId;
+}
+
 // Payload size needed for a reference array / data array of n elements.
 inline constexpr size_t RefArrayPayloadBytes(uint64_t n) {
   return sizeof(uint64_t) + n * sizeof(Object*);

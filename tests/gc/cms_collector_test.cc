@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "src/util/fault_injection.h"
 #include "tests/gc/gc_test_util.h"
 
 namespace rolp {
@@ -80,6 +81,11 @@ TEST_F(FreeListSpaceTest, LargeBlocksServeLargeRequests) {
   EXPECT_GE(actual, 300u * 1024);
 }
 
+// Young scavenges run on the parallel copy engine: the graph, mid-cycle
+// promotion and promotion-failure cases run at each of these GC worker
+// counts (2 is the default).
+constexpr uint32_t kWorkerCounts[] = {1, 2, 4};
+
 class CmsCollectorTest : public ::testing::Test {
  protected:
   void Start(size_t heap_mb, GcConfig cfg) {
@@ -139,30 +145,52 @@ class CmsCollectorTest : public ::testing::Test {
 
   std::unique_ptr<GcTestEnv> env_;
   ClassId node_cls_;
+
+  // Pushes a root holding a chain of n nodes with payload markers n-1..0.
+  size_t BuildList(int n) {
+    size_t head = env_->PushRoot(nullptr);
+    for (int i = 0; i < n; i++) {
+      Object* node = env_->AllocInstance(node_cls_);
+      env_->SetField(node, 0, env_->Root(head));
+      *reinterpret_cast<uint64_t*>(node->payload() + 8) = static_cast<uint64_t>(i);
+      env_->SetRoot(head, node);
+    }
+    return head;
+  }
+
+  // Walks the chain from BuildList, checking every marker; returns its length.
+  int CheckList(size_t head, int n) {
+    int count = 0;
+    Object* node = env_->Root(head);
+    uint64_t expect = static_cast<uint64_t>(n) - 1;
+    while (node != nullptr) {
+      EXPECT_EQ(*reinterpret_cast<uint64_t*>(node->payload() + 8), expect);
+      expect--;
+      count++;
+      node = env_->GetField(node, 0);
+    }
+    return count;
+  }
+
+  void YoungGcPreservesLinkedList(uint32_t workers) {
+    GcConfig cfg;
+    cfg.num_workers = workers;
+    Start(32, cfg);
+    size_t head = BuildList(200);
+    env_->ChurnYoung(24 * 1024 * 1024);
+    EXPECT_EQ(CheckList(head, 200), 200);
+    EXPECT_GE(env_->PausesOfKind(PauseKind::kYoung), 1u);
+  }
+
+  void ObjectPromotedMidCycleIsTraced(uint32_t workers);
+  void PromotionFailureTriggersFullCompaction(uint32_t workers);
 };
 
 TEST_F(CmsCollectorTest, YoungGcPreservesLinkedList) {
-  Start(32, GcConfig{});
-  // Chain of 200 nodes with payload markers.
-  size_t head = env_->PushRoot(nullptr);
-  for (int i = 0; i < 200; i++) {
-    Object* n = env_->AllocInstance(node_cls_);
-    env_->SetField(n, 0, env_->Root(head));
-    *reinterpret_cast<uint64_t*>(n->payload() + 8) = static_cast<uint64_t>(i);
-    env_->SetRoot(head, n);
+  for (uint32_t workers : kWorkerCounts) {
+    SCOPED_TRACE(testing::Message() << workers << " GC workers");
+    YoungGcPreservesLinkedList(workers);
   }
-  env_->ChurnYoung(24 * 1024 * 1024);
-  int count = 0;
-  Object* n = env_->Root(head);
-  uint64_t expect = 199;
-  while (n != nullptr) {
-    ASSERT_EQ(*reinterpret_cast<uint64_t*>(n->payload() + 8), expect);
-    expect--;
-    count++;
-    n = env_->GetField(n, 0);
-  }
-  EXPECT_EQ(count, 200);
-  EXPECT_GE(env_->PausesOfKind(PauseKind::kYoung), 1u);
 }
 
 TEST_F(CmsCollectorTest, TenuredObjectsLandInFreeListOldSpace) {
@@ -246,8 +274,9 @@ TEST_F(CmsCollectorTest, StoreAfterSlicesDrainKeepsTargetAlive) {
   LateStoreIntoBlackObjectSurvivesSweep(/*store_after_drain=*/true);
 }
 
-TEST_F(CmsCollectorTest, ObjectPromotedMidCycleIsTraced) {
+void CmsCollectorTest::ObjectPromotedMidCycleIsTraced(uint32_t workers) {
   GcConfig cfg;
+  cfg.num_workers = workers;
   cfg.tenuring_threshold = 2;
   cfg.cms_trigger_occupancy = 0;  // the first young pause after idle starts a cycle
   Start(48, cfg);
@@ -287,8 +316,16 @@ TEST_F(CmsCollectorTest, ObjectPromotedMidCycleIsTraced) {
   EXPECT_EQ(o->class_id, node_cls_);
 }
 
-TEST_F(CmsCollectorTest, PromotionFailureTriggersFullCompaction) {
+TEST_F(CmsCollectorTest, ObjectPromotedMidCycleIsTraced) {
+  for (uint32_t workers : kWorkerCounts) {
+    SCOPED_TRACE(testing::Message() << workers << " GC workers");
+    ObjectPromotedMidCycleIsTraced(workers);
+  }
+}
+
+void CmsCollectorTest::PromotionFailureTriggersFullCompaction(uint32_t workers) {
   GcConfig cfg;
+  cfg.num_workers = workers;
   cfg.tenuring_threshold = 1;
   cfg.cms_trigger_occupancy = 0.95;  // effectively never run the cycle
   Start(16, cfg);
@@ -316,6 +353,38 @@ TEST_F(CmsCollectorTest, PromotionFailureTriggersFullCompaction) {
   }
   EXPECT_GE(cms()->full_gcs(), 1u);
   EXPECT_GE(env_->PausesOfKind(PauseKind::kFull), 1u);
+}
+
+TEST_F(CmsCollectorTest, PromotionFailureTriggersFullCompaction) {
+  for (uint32_t workers : kWorkerCounts) {
+    SCOPED_TRACE(testing::Message() << workers << " GC workers");
+    PromotionFailureTriggersFullCompaction(workers);
+  }
+}
+
+// Every scavenge worker stalls past the watchdog deadline: the cancelled
+// scavenge self-forwards what it still meets, and the promotion-failure
+// escalation finishes the pause with a full compaction, losing nothing.
+TEST_F(CmsCollectorTest, CancelledScavengeFallsBackToFullCompaction) {
+  FaultInjection& fi = FaultInjection::Instance();
+  fi.Reset();
+  Start(32, GcConfig{});
+  WatchdogConfig wd;
+  wd.phase_deadline_ms = 40;
+  wd.worker_stall_ms = 20;
+  wd.max_compact_overruns = 1000000;  // slow sanitizer runs never abort
+  env_->collector->InstallWatchdog(wd);
+  size_t head = BuildList(200);
+  fi.ArmDelay("gc.phase.evacuate.stall", 400);  // every worker, every pause
+  for (int i = 0; i < 64 && env_->PausesOfKind(PauseKind::kFull) == 0; i++) {
+    env_->ChurnYoung(1024 * 1024);
+  }
+  fi.Reset();
+  EXPECT_GE(env_->collector->watchdog()->stats().phases_cancelled, 1u);
+  EXPECT_GE(env_->PausesOfKind(PauseKind::kFull), 1u);
+  EXPECT_EQ(CheckList(head, 200), 200);
+  HeapVerifier::Report report = HeapVerifier(env_->heap.get(), &env_->safepoints).Verify();
+  EXPECT_TRUE(report.ok()) << report.Summary();
 }
 
 TEST_F(CmsCollectorTest, HumongousAllocAndReclaim) {

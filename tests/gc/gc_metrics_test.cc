@@ -161,5 +161,37 @@ TEST(GcMetricsTest, VmPublishesMaxWorkerShare) {
   vm.DetachThread(thread);
 }
 
+// CMS young pauses run on the shared copy engine and publish the same pause
+// counters as the regional collectors: per-worker copied bytes that sum to
+// the total, in-pause evacuation time and evacuate-phase CPU.
+TEST(GcMetricsTest, CmsYoungPausesPublishPauseCounters) {
+  VmConfig cfg;
+  cfg.heap_mb = 32;
+  cfg.gc = GcKind::kCms;
+  cfg.gc_config.num_workers = 2;
+  cfg.metrics_prefix = "cms_counters_test.";
+  VM vm(cfg);
+  RuntimeThread* thread = vm.AttachThread();
+  const GcMetrics& m = vm.collector().metrics();
+  {
+    HandleScope scope(*thread);
+    Local list = thread->NewLocal(thread->AllocateRefArray(RuntimeThread::kNoSite, 512));
+    for (uint64_t i = 0; i < 512; i++) {
+      Object* data = thread->AllocateDataArray(RuntimeThread::kNoSite, 256);
+      ASSERT_NE(data, nullptr);
+      thread->StoreElem(list.get(), i, data);
+    }
+    const uint64_t cycles_before = m.GcCycles();
+    while (m.GcCycles() == cycles_before) {
+      ASSERT_NE(thread->AllocateDataArray(RuntimeThread::kNoSite, 8192), nullptr);
+    }
+  }
+  ASSERT_GT(m.BytesCopied(), 0u);
+  EXPECT_EQ(m.WorkerCopiedBytes(0) + m.WorkerCopiedBytes(1), m.BytesCopied());
+  EXPECT_GT(m.PauseEvacNs(), 0u);
+  EXPECT_GT(m.PhaseCpuNs(static_cast<size_t>(GcPhase::kEvacuate)), 0u);
+  vm.DetachThread(thread);
+}
+
 }  // namespace
 }  // namespace rolp

@@ -167,6 +167,27 @@ TEST(WorkerPoolTest, BracketedBackToBackDispatchesRunEveryItemOnce) {
   EXPECT_EQ(pool.parks(), parks_at_open);
 }
 
+// Inside a bracket the dispatcher spins only for a short bound, then sleeps
+// until the last item finishes. The item below finishes only after the
+// dispatcher has parked, so RunTask returns through exactly one park (and the
+// wake-up of a parked waiter is not lost).
+TEST(WorkerPoolTest, BracketedRunTaskParksWaiterAfterBoundedSpin) {
+  WorkerPool pool(2);
+  WorkerPool::PauseBracket bracket(&pool);
+  const uint64_t before = pool.waiter_parks();
+  std::atomic<uint32_t> runs{0};
+  pool.RunTask([&](uint32_t w) {
+    if (w == 0) {
+      while (pool.waiter_parks() == before) {
+        std::this_thread::yield();
+      }
+    }
+    runs.fetch_add(1);
+  });
+  EXPECT_EQ(runs.load(), 2u);
+  EXPECT_EQ(pool.waiter_parks() - before, 1u);
+}
+
 // Waits (bounded) until the named gauge reaches `at_least`; returns its value.
 double AwaitGauge(const std::string& name, double at_least) {
   double value = 0.0;

@@ -6,11 +6,11 @@
 //
 // `open` (the default) drives the store open-loop: arrivals follow a schedule
 // fixed in advance at ROLP_SERVICE_RATE requests/s (0 = calibrate capacity
-// closed-loop, then offer ROLP_SERVICE_OVERLOAD_FACTOR x that — deliberate
-// overload), lateness is charged from the scheduled arrival so GC pauses
-// cannot hide behind coordinated omission, and the run ends with an
-// SLO_VERDICT line a CI gate can parse. `closed` keeps the original
-// as-fast-as-possible bench loop.
+// closed-loop, then offer 2x that — deliberate overload), lateness is charged
+// from the scheduled arrival so GC pauses cannot hide behind coordinated
+// omission, and the run ends with an SLO_VERDICT line a CI gate can parse.
+// ROLP_SHARDS=N (N > 1) spreads the open-loop run over N VM shards.
+// `closed` keeps the original as-fast-as-possible bench loop.
 #include <cstdio>
 #include <cstdlib>
 #include <memory>
@@ -18,7 +18,6 @@
 
 #include "src/service/open_loop.h"
 #include "src/service/sharded.h"
-#include "src/util/env.h"
 #include "src/workloads/driver.h"
 #include "src/workloads/kvstore.h"
 
@@ -57,9 +56,8 @@ int RunClosed(const VmConfig& config, KvStoreWorkload& workload, double seconds,
   return 0;
 }
 
-int RunOpen(const VmConfig& config, KvStoreWorkload& workload, double seconds,
-            const std::string& gc_name) {
-  ServiceOptions svc = ServiceOptions::FromEnv();
+int RunOpen(const VmConfig& config, KvStoreWorkload& workload, ServiceOptions svc,
+            double seconds, const std::string& gc_name) {
   svc.duration_s = seconds;
 
   std::printf("running %s for %.0fs under %s (open loop, %s)...\n",
@@ -78,9 +76,8 @@ int RunOpen(const VmConfig& config, KvStoreWorkload& workload, double seconds,
   return r.survived ? 0 : 1;
 }
 
-int RunSharded(const VmConfig& config, const KvStoreOptions& options, double seconds,
-               const std::string& gc_name) {
-  ShardedServiceOptions sharded = ShardedServiceOptions::FromEnv();
+int RunSharded(const VmConfig& config, const KvStoreOptions& options,
+               ShardedServiceOptions sharded, double seconds, const std::string& gc_name) {
   sharded.service.duration_s = seconds;
 
   std::printf("running kvstore for %.0fs under %s across %d VM shards (open loop, %s)...\n",
@@ -130,9 +127,10 @@ int main(int argc, char** argv) {
                  mode.c_str(), argv[0]);
     return 1;
   }
-  if (EnvInt64("ROLP_SHARDS", 1) > 1) {
-    return RunSharded(config, options, seconds, gc_name);
+  ShardedServiceOptions sharded = ShardedServiceOptions::FromEnv();
+  if (sharded.shards > 1) {
+    return RunSharded(config, options, sharded, seconds, gc_name);
   }
   KvStoreWorkload workload(options);
-  return RunOpen(config, workload, seconds, gc_name);
+  return RunOpen(config, workload, sharded.service, seconds, gc_name);
 }

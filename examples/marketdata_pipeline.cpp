@@ -9,17 +9,12 @@
 // Arms: pooled | g1 | rolp | zgc | all (default: all). Environment knobs:
 //   ROLP_INGEST_RATE        events/s schedule           (default 100000)
 //   ROLP_INGEST_EVENTS      scheduled events per arm    (default 300000)
-//   ROLP_INGEST_ARM         arm list when no argv arms, e.g. "rolp,g1"
-//   ROLP_INGEST_HEAP_MB     VM-arm heap size            (default 96)
-//   ROLP_INGEST_WARMUP      warmup fraction excluded    (default 0.3)
-//   ROLP_PACER_SPIN_US      pacer spin finish budget    (default 50)
 //   ROLP_FAULTS / ROLP_CHAOS  fault injection over the ingest.* points
 #include <cstdio>
 #include <cstring>
 #include <string>
 #include <vector>
 
-#include "src/util/env.h"
 #include "src/util/fault_injection.h"
 #include "src/workloads/marketdata/pipeline.h"
 
@@ -65,7 +60,7 @@ int main(int argc, char** argv) {
     SplitArms(argv[i], &arms);
   }
   if (arms.empty()) {
-    SplitArms(rolp::EnvString("ROLP_INGEST_ARM", "all"), &arms);
+    SplitArms("all", &arms);
   }
 
   IngestOptions options = IngestOptions::FromEnv();

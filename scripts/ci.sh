@@ -187,16 +187,25 @@ if [ "${ROLP_CHAOS_CHECK:-1}" != "0" ] && command -v python3 >/dev/null \
   # is hot (copy stalls, mutator copy failures, mid-flight cancellation). The
   # rare-hit points need a higher rate than the broad sweep to fire within
   # the smoke window.
+  # None of these points corrupts the heap, so every run must also end with
+  # zero heap-corruption reports.
   ROLP_CONCURRENT_EVAC=on python3 scripts/chaos.py \
     --seeds "$CHAOS_SEEDS" --seconds "$CHAOS_SECONDS" \
     --rate 0.05 --points 'gc.concurrent_evac.*' --verify pause --sample 1 \
     --out /tmp/ci_chaos_concurrent_report.json
+  python3 scripts/check_chaos_clean.py /tmp/ci_chaos_concurrent_report.json
   # Pinned replay of the cancellation ladder: cancel the second concurrent
   # window mid-flight; the cycle must finish STW via the full-collection
-  # fallback with no lost objects.
+  # fallback with no lost objects (zero heap-corruption reports).
   ROLP_CONCURRENT_EVAC=on build/tests/chaos_campaign --seconds=1 --sample=1 \
-    --faults='gc.concurrent_evac.cancel=once:2' \
-    | tail -1 | grep -q '^CHAOS_RESULT '
+    --faults='gc.concurrent_evac.cancel=once:2' > /tmp/ci_chaos_cancel.txt
+  python3 scripts/check_chaos_clean.py /tmp/ci_chaos_cancel.txt
+  # Inert-spec G1 concurrent leg: a fault spec that never fires, so the run
+  # exercises plain concurrent evacuation (with its to-space exhaustion
+  # self-forwards) under in-pause verification, which must find nothing.
+  ROLP_CONCURRENT_EVAC=on build/tests/chaos_campaign --seconds=1 --sample=1 \
+    --gc=g1 --faults='gc.pause.inflate=once:1000000' > /tmp/ci_chaos_inert.txt
+  python3 scripts/check_chaos_clean.py /tmp/ci_chaos_inert.txt
   # Region commit-lifecycle chaos: arenas + a fast uncommit sweeper armed
   # while heap.region.* faults fire — commit failure (simulated ENOMEM on
   # recommit) must roll back to a recoverable OOM, uncommit failure must

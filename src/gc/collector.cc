@@ -113,7 +113,11 @@ void Collector::ScrubRetiredEvacFailure(Region* region) {
     if (obj->class_id == kFreeBlockClassId) {
       return;
     }
-    if (markword::IsForwarded(obj->LoadMark())) {
+    // Self-forwarded: an in-place survivor. Anything else is dead: the
+    // stale original of a copied object, or an object the evacuation never
+    // reached, whose slots may still name regions this pause frees.
+    uint64_t m = obj->LoadMark();
+    if (!markword::IsForwarded(m) || markword::ForwardedPtr(m) != obj) {
       ScrubToFreeBlock(obj);
       return;
     }
@@ -163,16 +167,16 @@ uint64_t Collector::FinishEvacuation(EvacuationTask* task, const std::vector<Reg
                                      uint64_t evac_t0, const char* when,
                                      const MarkBitmap* live_filter, MarkBitmap* clear_marks) {
   RegionManager& regions = heap_->regions();
-  task->RestoreSelfForwarded();
+  task->FlagEvacFailedRegions();
   task->FinishShared();
   std::vector<Region*> doomed;
   doomed.reserve(cset.size());
   for (Region* r : cset) {
     r->set_evacuating(false);
     if (r->evac_failed()) {
-      // In-place survivors: the region is retired to old; scrubbing turns the
-      // stale originals of copied objects into free blocks and re-records the
-      // survivors' remset edges under the region's new (old) kind.
+      // In-place survivors: the region is retired to old; scrubbing turns
+      // every other object into a free block and re-records the survivors'
+      // remset edges under the region's new (old) kind.
       r->set_evac_failed(false);
       r->set_in_cset(false);
       regions.RetireToOld(r);
@@ -181,6 +185,7 @@ uint64_t Collector::FinishEvacuation(EvacuationTask* task, const std::vector<Reg
       doomed.push_back(r);
     }
   }
+  task->RestoreSelfForwarded();
   if (evac_t0 != 0) {
     metrics_.AddPauseEvacNs(NowNs() - evac_t0);
   }

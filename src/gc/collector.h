@@ -126,11 +126,13 @@ class Collector {
                                           HeapVerifier::Report* report);
 
   // An evacuation-failure region retired to old still holds the stale
-  // originals of successfully-copied objects, and its in-place survivors'
-  // cross-region edges were recorded under young-to-young rules. Scrub the
-  // stale copies into free blocks, recount live bytes, and re-record the
-  // survivors' edges in the targets' remsets so the retired region is
-  // indistinguishable from a normal old region.
+  // originals of successfully-copied objects and the dead objects the
+  // evacuation never reached, and its in-place survivors' cross-region edges
+  // were recorded under young-to-young rules. Runs while the survivors are
+  // still self-forwarded: scrubs every other object into a free block (as
+  // G1 fills the dead ranges of a failed region), recounts live bytes, and
+  // re-records the survivors' edges in the targets' remsets so the retired
+  // region is indistinguishable from a normal old region.
   void ScrubRetiredEvacFailure(Region* region);
 
   // Remembered-set source regions of `cset`: regions recorded as holding

@@ -72,7 +72,7 @@ void EvacuationTask::Run(WorkerPool* pool, const EvacuationUnits& units) {
     });
     sources = {};
   }
-  const size_t chunk = StealChunkSize();
+  const size_t chunk = kStealChunk;
   const size_t root_units = (units.roots.size() + chunk - 1) / chunk;
   const size_t source_end = root_units + sources.size();
   const size_t total_units = source_end + units.scrub.size();
@@ -100,7 +100,7 @@ void EvacuationTask::Run(WorkerPool* pool, const EvacuationUnits& units) {
         size_t begin = u * chunk;
         size_t end = begin + chunk < units.roots.size() ? begin + chunk : units.roots.size();
         for (size_t i = begin; i < end; i++) {
-          ew.ProcessRootSlot(units.roots[i], nullptr);
+          ew.ProcessRootSlot(units.roots[i]);
         }
       } else if (u < source_end) {
         // Safe to walk off-pause too: mutators only allocate into regions
@@ -145,7 +145,7 @@ void EvacuationTask::Run(WorkerPool* pool, const EvacuationUnits& units) {
 
 void EvacuationTask::HealRoots(std::span<std::atomic<Object*>* const> roots) {
   for (std::atomic<Object*>* slot : roots) {
-    workers_[0].ProcessRootSlot(slot, nullptr);
+    workers_[0].ProcessRootSlot(slot);
   }
 }
 
@@ -318,6 +318,15 @@ void EvacuationTask::Worker::ScanObject(Object* obj) {
     Region* vr = regions.RegionFor(v);
     if (vr->in_cset()) {
       Object* healed = task_->Evacuate(v, this);
+      if (healed == v) {
+        // Self-forwarded in place: the slot already holds it, and its region
+        // retires to old, so the edge needs a remset entry even from a young
+        // holder.
+        if (vr != obj_region) {
+          vr->RemsetAddRegion(obj_region->index());
+        }
+        return;
+      }
       if (concurrent) {
         // Mutators are running: heal with CAS so a racing store of a new
         // value is never clobbered. A failed CAS means the slot already
@@ -340,23 +349,13 @@ void EvacuationTask::Worker::ScanObject(Object* obj) {
   });
 }
 
-void EvacuationTask::Worker::ProcessRootSlot(std::atomic<Object*>* slot, Region* src_region) {
+void EvacuationTask::Worker::ProcessRootSlot(std::atomic<Object*>* slot) {
   Object* v = slot->load(std::memory_order_relaxed);
-  if (v == nullptr) {
-    return;
-  }
-  RegionManager& regions = task_->heap_->regions();
-  Region* vr = regions.RegionFor(v);
-  if (vr->in_cset()) {
-    v = task_->Evacuate(v, this);
+  if (v != nullptr && task_->heap_->regions().RegionFor(v)->in_cset()) {
     // Roots are only healed inside pauses (both modes), so a plain store is
-    // race-free even in a concurrent cycle.
-    slot->store(v, std::memory_order_relaxed);
-    vr = regions.RegionFor(v);
-  }
-  if (src_region != nullptr && vr != src_region &&
-      !(src_region->IsYoung() && vr->IsYoung())) {
-    vr->RemsetAddRegion(src_region->index());
+    // race-free even in a concurrent cycle. Roots live outside the heap and
+    // need no remset.
+    slot->store(task_->Evacuate(v, this), std::memory_order_relaxed);
   }
 }
 
@@ -369,24 +368,33 @@ void EvacuationTask::Worker::Finish() {
   }
 }
 
-size_t EvacuationTask::RestoreSelfForwarded() {
-  size_t restored = 0;
-  auto restore = [&](std::vector<std::pair<Object*, uint64_t>>& preserved) {
-    for (auto& [obj, mark] : preserved) {
-      obj->StoreMark(mark);
-      heap_->regions().RegionFor(obj)->set_evac_failed(true);
-      restored++;
-    }
-    preserved.clear();
-  };
+template <typename Fn>
+void EvacuationTask::ForEachSelfForwarded(Fn&& fn) {
   for (Worker& w : workers_) {
-    restore(w.preserved_marks_);
+    for (auto& [obj, mark] : w.preserved_marks_) {
+      fn(obj, mark);
+    }
   }
   // Mutator-side self-forwards (concurrent mode). Called from a pause, so
   // the lock is uncontended but still taken for the analyzer's benefit.
   std::lock_guard<SpinLock> guard(shared_lock_);
-  restore(shared_preserved_);
-  return restored;
+  for (auto& [obj, mark] : shared_preserved_) {
+    fn(obj, mark);
+  }
+}
+
+void EvacuationTask::FlagEvacFailedRegions() {
+  ForEachSelfForwarded(
+      [&](Object* obj, uint64_t) { heap_->regions().RegionFor(obj)->set_evac_failed(true); });
+}
+
+void EvacuationTask::RestoreSelfForwarded() {
+  ForEachSelfForwarded([](Object* obj, uint64_t mark) { obj->StoreMark(mark); });
+  for (Worker& w : workers_) {
+    w.preserved_marks_.clear();
+  }
+  std::lock_guard<SpinLock> guard(shared_lock_);
+  shared_preserved_.clear();
 }
 
 Object* EvacuationTask::MutatorHeal(Object* obj) {

@@ -49,7 +49,7 @@ class WorkerPool;
 
 // The scan units of one Run, claimed by the workers from a shared cursor.
 struct EvacuationUnits {
-  // Root slots, healed in chunks of StealChunkSize().
+  // Root slots, healed in chunks of kStealChunk.
   std::span<std::atomic<Object*>* const> roots;
   // Remembered-set source regions: their objects become stealable scan items.
   std::span<Region* const> sources;
@@ -98,9 +98,7 @@ class EvacuationTask {
     friend class EvacuationTask;
 
     // Evacuates the target of a root slot if it is in the collection set.
-    // src_region: region containing the slot (nullptr for global/thread
-    // roots); used to maintain remembered sets on updated references.
-    void ProcessRootSlot(std::atomic<Object*>* slot, Region* src_region);
+    void ProcessRootSlot(std::atomic<Object*>* slot);
     // Scans one work item: heals obj's ref slots (evacuating cset targets
     // transitively) and maintains remembered sets against obj's own region.
     // Works uniformly for to-space copies and for live objects in remset
@@ -170,12 +168,15 @@ class EvacuationTask {
     return mutator_bytes_promoted_.load(std::memory_order_relaxed);
   }
 
-  // After all copying: restores self-forwarded marks (the workers' private
-  // lists plus the shared mutator-side list) and flags each region
-  // containing in-place survivors via Region::set_evac_failed (the collector
-  // reads and clears the flag while walking the cset — O(cset), not
-  // O(cset * failed)). Returns how many objects were self-forwarded.
-  size_t RestoreSelfForwarded();
+  // After all copying, in two steps (the workers' private lists plus the
+  // shared mutator-side list). FlagEvacFailedRegions flags each region
+  // containing in-place survivors via Region::set_evac_failed and leaves
+  // their self-forwards installed, so the collector's cset walk (which reads
+  // and clears the flag — O(cset), not O(cset * failed)) can tell a survivor
+  // from an object the evacuation never reached. RestoreSelfForwarded then
+  // restores the survivors' marks.
+  void FlagEvacFailedRegions();
+  void RestoreSelfForwarded();
 
  private:
   // The one copy routine. `w` is the calling GC worker, or nullptr for a
@@ -192,6 +193,9 @@ class EvacuationTask {
   char* BumpInDest(Region** dest, int space, size_t bytes);
   // Hands an object whose referents still need a scan to the workers.
   void Publish(Object* obj, Worker* w);
+  // Calls fn(obj, preserved_mark) for every self-forwarded object.
+  template <typename Fn>
+  void ForEachSelfForwarded(Fn&& fn);
   // Pops one injected object. The injection was pre-counted in the pool's
   // outstanding counter, so the worker that processes it still FinishOne(w)s.
   bool TakeInjected(Object** out);

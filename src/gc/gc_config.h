@@ -41,7 +41,8 @@ struct GcConfig {
   // Regional collector: copy the collection set concurrently with the
   // mutators (ZGC-style load barrier with reference healing), leaving only
   // root scan + cset selection and a short final remap/retire pause STW
-  // (ROLP_CONCURRENT_EVAC; off = the classic fully-STW evacuation pause).
+  // (off = the classic fully-STW evacuation pause). ROLP_CONCURRENT_EVAC=on
+  // switches it on in the VM; a caller's true always stands.
   bool concurrent_evac = false;
 
   // CMS: start a concurrent mark-sweep cycle at this tenured occupancy.

@@ -1,7 +1,5 @@
 #include "src/gc/gc_metrics.h"
 
-#include "src/util/env.h"
-
 namespace rolp {
 
 const char* PauseKindName(PauseKind kind) {
@@ -26,11 +24,6 @@ const char* PauseKindName(PauseKind kind) {
       return "remap";
   }
   return "?";
-}
-
-GcMetrics::GcMetrics() {
-  int64_t cap = EnvInt64("ROLP_PAUSE_LOG_CAP", static_cast<int64_t>(kDefaultPauseLogCap));
-  pause_log_cap_ = cap < 1 ? 1 : static_cast<size_t>(cap);
 }
 
 void GcMetrics::set_pause_log_cap(size_t cap) {

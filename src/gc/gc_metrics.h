@@ -41,12 +41,10 @@ class GcMetrics {
  public:
   // Retained per-pause records are capped: a long-running service would
   // otherwise accumulate one PauseRecord per pause forever. The default keeps
-  // every pause a bench-scale run produces; ROLP_PAUSE_LOG_CAP overrides it
-  // (values < 1 clamp to 1). pause_hist_ stays the authoritative all-time
-  // aggregate regardless of the cap.
+  // every pause a bench-scale run produces; set_pause_log_cap overrides it.
+  // pause_hist_ stays the authoritative all-time aggregate regardless of the
+  // cap.
   static constexpr size_t kDefaultPauseLogCap = 1u << 16;
-
-  GcMetrics();
 
   void RecordPause(const PauseRecord& record);
 
@@ -153,7 +151,7 @@ class GcMetrics {
   // Index into pauses_ of the oldest retained record once the ring is full
   // (pauses_.size() == pause_log_cap_); 0 while still filling.
   mutable SpinLock lock_;
-  size_t pause_log_cap_;
+  size_t pause_log_cap_ = kDefaultPauseLogCap;
   size_t ring_head_ = 0;
   std::vector<PauseRecord> pauses_;
   uint64_t pauses_total_ = 0;

@@ -150,7 +150,7 @@ void Marker::MarkFromRoots(SafepointManager* safepoints, WorkerPool* workers,
   // counter covers both the root chunks (pre-added) and every queued object.
   uint32_t n = workers->size();
   WorkStealingPool<Object*> pool(n);
-  const size_t chunk = StealChunkSize();
+  const size_t chunk = kStealChunk;
   const size_t num_units = (roots.size() + chunk - 1) / chunk;
   pool.AddOutstanding(static_cast<int64_t>(num_units));
   std::atomic<size_t> cursor{0};

@@ -310,7 +310,7 @@ void RegionalCollector::DoYoungOrMixed(MutatorContext* ctx) {
     // outgoing references can never be rescanned or healed).
     const bool check_pinned = !regions.UnscannableQuarantined().empty();
     workers_->ParallelFor(
-        regions.num_regions(), StealChunkSize(), [&](uint32_t w, size_t begin, size_t end) {
+        regions.num_regions(), kStealChunk, [&](uint32_t w, size_t begin, size_t end) {
           ScanPartial& p = partials[w];
           for (size_t i = begin; i < end; i++) {
             Region* r = &regions.region(i);
@@ -785,6 +785,14 @@ Object* RegionalCollector::HealSlot(std::atomic<Object*>* slot, Object* v) {
     return healed;
   }
   // Self-forwarded in place (exhaustion/cancel): the slot value stays valid.
+  // The region retires to old at the final pause, so even a young holder's
+  // edge needs its remset entry.
+  if (regions.Contains(slot)) {
+    Region* sr = regions.RegionFor(slot);
+    if (sr != vr) {
+      vr->RemsetAddRegion(sr->index());
+    }
+  }
   return v;
 }
 

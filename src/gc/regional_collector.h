@@ -146,14 +146,30 @@ class RegionalCollector : public Collector {
 };
 
 // Barrier set installed when concurrent evacuation is configured. Stores keep
-// the classic remembered-set barrier; loads additionally heal references into
-// evacuating regions while a cycle is armed. Disarmed, needs_load_barrier()
-// is false and Heap::LoadRef never even calls LoadBarrier — the knob costs
-// nothing outside an armed window.
+// the classic remembered-set barrier, and while a cycle is armed also record
+// stores of (self-forwarded) objects that stay in an evacuating region; loads
+// additionally heal references into evacuating regions while a cycle is
+// armed. Disarmed, needs_load_barrier() is false and Heap::LoadRef never even
+// calls LoadBarrier — the knob costs nothing outside an armed window.
 class RegionalBarrierSet : public RemsetBarrierSet {
  public:
   RegionalBarrierSet(RegionManager* regions, RegionalCollector* collector)
       : RemsetBarrierSet(regions), collector_(collector) {}
+
+  void StoreBarrier(Object* src, std::atomic<Object*>* slot, Object* value) override {
+    RemsetBarrierSet::StoreBarrier(src, slot, value);
+    if (value == nullptr || src == nullptr || !collector_->evac_armed()) {
+      return;
+    }
+    // A mutator only holds an evacuating region's object once it was
+    // self-forwarded; that region retires to old at the final pause, so the
+    // young-to-young exemption does not hold for the edge.
+    Region* vr = regions_->RegionFor(value);
+    Region* sr = regions_->RegionFor(src);
+    if (vr->evacuating() && sr != vr) {
+      vr->RemsetAddRegion(sr->index());
+    }
+  }
 
   Object* LoadBarrier(std::atomic<Object*>* slot) override {
     Object* v = slot->load(std::memory_order_acquire);

@@ -39,20 +39,13 @@
 #include <vector>
 
 #include "src/util/check.h"
-#include "src/util/env.h"
 
 namespace rolp {
 
 // Unit size for chunked claiming of root slots / region shards during GC
-// pauses (ROLP_STEAL_CHUNK, default 64). Small enough to balance, large
-// enough that the claim cost (one fetch_add) amortizes.
-inline size_t StealChunkSize() {
-  static const size_t chunk = [] {
-    int64_t v = EnvInt64("ROLP_STEAL_CHUNK", 64);
-    return v < 1 ? size_t{1} : static_cast<size_t>(v);
-  }();
-  return chunk;
-}
+// pauses. Small enough to balance, large enough that the claim cost (one
+// fetch_add) amortizes.
+constexpr size_t kStealChunk = 64;
 
 template <typename T>
 class StealableTaskQueue {

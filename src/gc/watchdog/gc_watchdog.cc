@@ -38,23 +38,11 @@ WatchdogConfig WatchdogConfig::FromEnv() {
   config.enabled = EnvBool("ROLP_WATCHDOG", true);
   int64_t deadline = EnvInt64("ROLP_GC_DEADLINE_MS", 5000);
   config.phase_deadline_ms = deadline > 0 ? static_cast<uint64_t>(deadline) : 5000;
-  int64_t stall = EnvInt64("ROLP_GC_WORKER_STALL_MS", 0);
-  config.worker_stall_ms = stall > 0 ? static_cast<uint64_t>(stall) : 0;
-  int64_t conc = EnvInt64("ROLP_GC_CONCURRENT_DEADLINE_MS", 0);
-  config.concurrent_deadline_ms = conc > 0 ? static_cast<uint64_t>(conc) : 0;
   return config;
 }
 
-uint64_t WatchdogConfig::EffectiveConcurrentDeadlineMs() const {
-  if (concurrent_deadline_ms != 0) {
-    return concurrent_deadline_ms;
-  }
-  return phase_deadline_ms * 4;
-}
-
 uint64_t WatchdogConfig::DeadlineMsFor(GcPhase phase) const {
-  return phase == GcPhase::kConcurrentEvac ? EffectiveConcurrentDeadlineMs()
-                                           : phase_deadline_ms;
+  return phase == GcPhase::kConcurrentEvac ? 4 * phase_deadline_ms : phase_deadline_ms;
 }
 
 uint64_t WatchdogConfig::EffectiveWorkerStallMs() const {

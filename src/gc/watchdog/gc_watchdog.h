@@ -58,11 +58,7 @@ struct WatchdogConfig {
   bool enabled = true;            // ROLP_WATCHDOG (default on)
   uint64_t phase_deadline_ms = 5000;  // ROLP_GC_DEADLINE_MS
   // Per-worker heartbeat stall threshold; 0 means phase_deadline_ms / 2.
-  uint64_t worker_stall_ms = 0;   // ROLP_GC_WORKER_STALL_MS
-  // Deadline for the off-pause GcPhase::kConcurrentEvac window, which shares
-  // the CPU with mutators and legitimately runs much longer than any pause
-  // phase; 0 derives 4 * phase_deadline_ms. ROLP_GC_CONCURRENT_DEADLINE_MS.
-  uint64_t concurrent_deadline_ms = 0;
+  uint64_t worker_stall_ms = 0;
   // Monitor poll period; 0 derives min(deadline, stall)/4, clamped [1, 100].
   uint64_t poll_interval_ms = 0;
   // Consecutive STW-fallback (kCompact) overruns tolerated before aborting.
@@ -71,8 +67,9 @@ struct WatchdogConfig {
   static WatchdogConfig FromEnv();
   uint64_t EffectiveWorkerStallMs() const;
   uint64_t EffectivePollIntervalMs() const;
-  uint64_t EffectiveConcurrentDeadlineMs() const;
-  // The deadline the monitor holds `phase` against.
+  // The deadline the monitor holds `phase` against: phase_deadline_ms, or 4x
+  // that for the off-pause GcPhase::kConcurrentEvac window, which shares the
+  // CPU with mutators and legitimately runs much longer than any pause phase.
   uint64_t DeadlineMsFor(GcPhase phase) const;
 };
 

@@ -25,12 +25,12 @@ struct HeapConfig {
   uint32_t tenuring_threshold = 15;
   // Regions reserved for GC evacuation destinations; mutator allocation fails
   // (recoverable, GC-and-retry) before the free pool dips below this, so
-  // copying never starves under mutator pressure. 0 disables. The VM sizes
-  // this from ROLP_GOV_EVAC_RESERVE.
+  // copying never starves under mutator pressure. 0 disables. The VM reserves
+  // 2 regions once the heap has at least 64.
   size_t evac_reserve_regions = 0;
-  // Arena-layer policy (sharded free lists, THP, NUMA, uncommit). The VM
-  // fills this from the environment (HeapArenaOptions::FromEnv); the default
-  // keeps the historical single-arena behavior.
+  // Arena-layer policy (sharded free lists, uncommit). The VM fills this
+  // from ROLP_HEAP_ARENAS and ROLP_HEAP_UNCOMMIT_MS (HeapArenaOptions::FromEnv);
+  // the default keeps the historical single-arena behavior.
   HeapArenaOptions arenas;
 };
 
@@ -186,7 +186,7 @@ class RemsetBarrierSet : public BarrierSet {
   }
   bool needs_load_barrier() const override { return false; }
 
- private:
+ protected:
   RegionManager* regions_;
 };
 

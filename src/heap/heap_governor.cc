@@ -25,11 +25,6 @@ GovernorConfig GovernorConfig::FromEnv() {
   GovernorConfig c;
   c.gc_watermark = EnvDouble("ROLP_GOV_GC_WATERMARK", c.gc_watermark);
   c.throttle_watermark = EnvDouble("ROLP_GOV_THROTTLE_WATERMARK", c.throttle_watermark);
-  c.degrade_watermark = EnvDouble("ROLP_GOV_DEGRADE_WATERMARK", c.degrade_watermark);
-  c.shed_watermark = EnvDouble("ROLP_GOV_SHED_WATERMARK", c.shed_watermark);
-  c.hysteresis = EnvDouble("ROLP_GOV_HYSTERESIS", c.hysteresis);
-  c.min_gc_interval_ms =
-      static_cast<uint64_t>(EnvInt64("ROLP_GOV_GC_INTERVAL_MS", c.min_gc_interval_ms));
   c.throttle_stall_us =
       static_cast<uint64_t>(EnvInt64("ROLP_GOV_THROTTLE_US", c.throttle_stall_us));
   return c;

@@ -38,17 +38,19 @@ const char* PressureLevelName(PressureLevel level);
 struct GovernorConfig {
   double gc_watermark = 0.70;        // ROLP_GOV_GC_WATERMARK
   double throttle_watermark = 0.85;  // ROLP_GOV_THROTTLE_WATERMARK
-  double degrade_watermark = 0.92;   // ROLP_GOV_DEGRADE_WATERMARK
-  double shed_watermark = 0.96;      // ROLP_GOV_SHED_WATERMARK
+  double degrade_watermark = 0.92;
+  double shed_watermark = 0.96;
   // Occupancy must drop this far below a watermark before de-escalating.
-  double hysteresis = 0.05;  // ROLP_GOV_HYSTERESIS
+  double hysteresis = 0.05;
   // Minimum spacing between governor-initiated early-GC requests.
-  uint64_t min_gc_interval_ms = 50;  // ROLP_GOV_GC_INTERVAL_MS
+  uint64_t min_gc_interval_ms = 50;
   // Base mutator stall at kThrottle; doubles at kDegrade, quadruples at
   // kShed. Bounded by construction: the stall is a fixed sleep, not a wait
   // for a condition, so a mutator always makes progress.
   uint64_t throttle_stall_us = 200;  // ROLP_GOV_THROTTLE_US
-  // Loads every ROLP_GOV_* override from the environment.
+  // The defaults, with the GC and throttle watermarks and the throttle stall
+  // overridable from ROLP_GOV_GC_WATERMARK, ROLP_GOV_THROTTLE_WATERMARK and
+  // ROLP_GOV_THROTTLE_US.
   static GovernorConfig FromEnv();
 };
 

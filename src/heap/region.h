@@ -111,7 +111,7 @@ class Region {
   bool evacuating() const { return evacuating_.load(std::memory_order_relaxed); }
   void set_evacuating(bool v) { evacuating_.store(v, std::memory_order_relaxed); }
 
-  // Set by RestoreSelfForwarded (serial, after evacuation workers join) on
+  // Set by FlagEvacFailedRegions (serial, after evacuation workers join) on
   // regions holding self-forwarded survivors; read and cleared by the
   // collector's cset sweep in the same pause.
   bool evac_failed() const { return evac_failed_; }

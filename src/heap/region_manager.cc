@@ -1,14 +1,10 @@
 #include "src/heap/region_manager.h"
 
 #include <sys/mman.h>
-#include <sys/syscall.h>
-#include <unistd.h>
 
 #include <algorithm>
 #include <bit>
 #include <chrono>
-#include <cstdio>
-#include <cstring>
 #include <mutex>
 
 #include "src/util/check.h"
@@ -17,19 +13,12 @@
 #include "src/util/fault_injection.h"
 #include "src/util/log.h"
 
-// mbind() policy constant; defined locally because the container has no
-// libnuma headers (numaif.h). MPOL_PREFERRED falls back to first-touch when
-// the preferred node is full, which is exactly the graceful behavior we want.
-#ifndef MPOL_PREFERRED
-#define MPOL_PREFERRED 1
-#endif
-
 namespace rolp {
 
 namespace {
 
 // Every arena extent starts on a 2MB boundary (when the region geometry
-// permits) so MADV_HUGEPAGE can back whole extents with huge pages.
+// permits) so transparent huge pages can back whole extents.
 constexpr size_t kArenaAlign = 2 * 1024 * 1024;
 
 // Round-robin home-arena assignment: each thread sticks to one arena so the
@@ -39,59 +28,6 @@ constexpr size_t kArenaAlign = 2 * 1024 * 1024;
 std::atomic<uint32_t> g_next_home_token{0};
 thread_local uint32_t g_home_token = 0xffffffffu;
 thread_local int g_home_arena_override = -1;
-
-// Parses /sys/devices/system/node/online ("0", "0-1", "0,2-3") into a node
-// count. Returns 1 on any parse/read failure — the caller treats one node as
-// "nothing to bind".
-int NumaNodeCount() {
-  FILE* f = std::fopen("/sys/devices/system/node/online", "re");
-  if (f == nullptr) {
-    return 1;
-  }
-  char buf[256];
-  size_t n = std::fread(buf, 1, sizeof(buf) - 1, f);
-  std::fclose(f);
-  buf[n] = '\0';
-  int count = 0;
-  const char* p = buf;
-  while (*p != '\0' && *p != '\n') {
-    char* end = nullptr;
-    long lo = std::strtol(p, &end, 10);
-    if (end == p) {
-      break;
-    }
-    long hi = lo;
-    p = end;
-    if (*p == '-') {
-      hi = std::strtol(p + 1, &end, 10);
-      if (end == p + 1) {
-        break;
-      }
-      p = end;
-    }
-    count += static_cast<int>(hi - lo + 1);
-    if (*p == ',') {
-      p++;
-    }
-  }
-  return count > 0 ? count : 1;
-}
-
-bool BindExtentToNode(void* addr, size_t len, int node) {
-#ifdef SYS_mbind
-  if (node < 0 || node >= static_cast<int>(8 * sizeof(unsigned long))) {
-    return false;
-  }
-  unsigned long mask = 1ul << node;
-  return syscall(SYS_mbind, addr, len, MPOL_PREFERRED, &mask,
-                 8 * sizeof(unsigned long), 0ul) == 0;
-#else
-  (void)addr;
-  (void)len;
-  (void)node;
-  return false;
-#endif
-}
 
 }  // namespace
 
@@ -115,16 +51,16 @@ const char* RegionKindName(RegionKind kind) {
   return "?";
 }
 
+int EnvShardCount() {
+  int64_t shards = EnvInt64("ROLP_SHARDS", 1);
+  return shards > 0 ? static_cast<int>(shards) : 1;
+}
+
 HeapArenaOptions HeapArenaOptions::FromEnv() {
   HeapArenaOptions o;
-  int64_t shards = EnvInt64("ROLP_SHARDS", 1);
-  int64_t arenas = EnvInt64("ROLP_HEAP_ARENAS", shards > 0 ? shards : 1);
+  int64_t arenas = EnvInt64("ROLP_HEAP_ARENAS", EnvShardCount());
   o.arenas = arenas > 0 ? static_cast<size_t>(arenas) : 1;
-  o.thp = EnvBool("ROLP_HEAP_THP", false);
-  o.numa = EnvBool("ROLP_NUMA", false);
   o.uncommit_ms = EnvInt64("ROLP_HEAP_UNCOMMIT_MS", 0);
-  int64_t soft_min = EnvInt64("ROLP_HEAP_SOFT_MIN_REGIONS", 2);
-  o.soft_min_regions = soft_min > 0 ? static_cast<size_t>(soft_min) : 0;
   return o;
 }
 
@@ -156,13 +92,6 @@ RegionManager::RegionManager(size_t heap_bytes, size_t region_bytes,
   base_ = aligned;
   map_size_ = size;
 
-  if (opts_.thp) {
-    if (madvise(base_, map_size_, MADV_HUGEPAGE) != 0) {
-      ROLP_LOG_WARN("MADV_HUGEPAGE unavailable; continuing with 4K pages");
-      opts_.thp = false;
-    }
-  }
-
   // Arena count: at least 4 regions per arena so each holds useful capacity,
   // and at most 255 (arena_of_ entries are one byte).
   size_t max_arenas = std::min<size_t>(255, std::max<size_t>(1, num_regions_ / 4));
@@ -180,14 +109,6 @@ RegionManager::RegionManager(size_t heap_bytes, size_t region_bytes,
       b = b / align_regions * align_regions;
     }
     bounds[i] = static_cast<uint32_t>(b);
-  }
-
-  int numa_nodes = 1;
-  if (opts_.numa) {
-    numa_nodes = NumaNodeCount();
-    if (numa_nodes <= 1) {
-      ROLP_LOG_INFO("ROLP_NUMA=on but only one NUMA node online; skipping mbind");
-    }
   }
 
   regions_ = std::make_unique<Region[]>(num_regions_);
@@ -208,16 +129,6 @@ RegionManager::RegionManager(size_t heap_bytes, size_t region_bytes,
                          static_cast<uint32_t>(num_regions_));
       arena_of_[idx] = static_cast<uint8_t>(a);
       arena->free_list.push_back(idx);
-    }
-    if (opts_.numa && numa_nodes > 1) {
-      int node = static_cast<int>(a) % numa_nodes;
-      char* lo = base_ + static_cast<size_t>(arena->first_region) * region_bytes_;
-      size_t len = static_cast<size_t>(arena->end_region - arena->first_region) * region_bytes_;
-      if (len > 0 && BindExtentToNode(lo, len, node)) {
-        arena->numa_node = node;
-      } else if (len > 0) {
-        ROLP_LOG_WARN("mbind(arena %zu -> node %d) failed; first-touch placement", a, node);
-      }
     }
     arenas_.push_back(std::move(arena));
   }

@@ -1,8 +1,7 @@
 // Reserves the heap with one 2MB-aligned mmap call and manages the region
 // table, carved into N per-shard arenas (DESIGN.md section 15). Each arena
 // owns an extent of the reservation, its own free list + lock, and (when
-// enabled) a NUMA-node binding, THP advice, and an uncommit lifecycle that
-// returns idle regions' RSS to the OS.
+// enabled) an uncommit lifecycle that returns idle regions' RSS to the OS.
 #ifndef SRC_HEAP_REGION_MANAGER_H_
 #define SRC_HEAP_REGION_MANAGER_H_
 
@@ -20,17 +19,11 @@
 namespace rolp {
 
 // Arena-layer policy knobs. Defaults reproduce the pre-arena behavior exactly:
-// one arena, no THP advice, no NUMA binding, never uncommit.
+// one arena, never uncommit.
 struct HeapArenaOptions {
   // Number of independent arenas the reservation is carved into. Clamped to
   // [1, num_regions / 4] at construction so every arena holds useful regions.
   size_t arenas = 1;
-  // madvise(MADV_HUGEPAGE) the reservation (ROLP_HEAP_THP=on).
-  bool thp = false;
-  // Bind each arena's extent to a NUMA node round-robin via mbind
-  // (ROLP_NUMA=on). Silently falls back to first-touch when the box has one
-  // node or the syscall is unavailable.
-  bool numa = false;
   // Regions continuously free for longer than this are uncommitted with
   // MADV_DONTNEED by a background sweeper (0 disables). Recommit on next
   // allocation is implicit: anonymous memory reads back as zero.
@@ -39,10 +32,14 @@ struct HeapArenaOptions {
   // never uncommits below max(soft_min_regions, evac_reserve).
   size_t soft_min_regions = 2;
 
-  // Reads ROLP_HEAP_ARENAS (default ROLP_SHARDS, default 1), ROLP_HEAP_THP,
-  // ROLP_NUMA, ROLP_HEAP_UNCOMMIT_MS, ROLP_HEAP_SOFT_MIN_REGIONS.
+  // Reads ROLP_HEAP_ARENAS (default EnvShardCount()) and
+  // ROLP_HEAP_UNCOMMIT_MS.
   static HeapArenaOptions FromEnv();
 };
+
+// ROLP_SHARDS (default 1): the VM shards behind the open-loop front end
+// (ShardedServiceOptions) and the default arena count of each shard's heap.
+int EnvShardCount();
 
 class RegionManager {
  public:
@@ -194,7 +191,6 @@ class RegionManager {
     uint32_t end_region = 0;    // exclusive
     mutable SpinLock lock;
     std::vector<uint32_t> free_list;  // guarded by lock
-    int numa_node = -1;               // -1: unbound
   };
 
   size_t HomeArena() const;

@@ -91,8 +91,7 @@ struct RolpConfig {
   // OLD table at an inference boundary; the analysis happens off-pause and the
   // resulting decisions are staged for publication at the NEXT safepoint.
   // Default off so directly-constructed profilers (unit tests) keep the
-  // synchronous run-inference-inside-OnGcEnd semantics; the VM wires this from
-  // ROLP_ASYNC_INFERENCE (default on).
+  // synchronous run-inference-inside-OnGcEnd semantics; VmConfig turns it on.
   bool async_inference = false;
 };
 

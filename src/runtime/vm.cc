@@ -1,7 +1,6 @@
 #include "src/runtime/vm.h"
 
 #include <atomic>
-#include <chrono>
 #include <cstdlib>
 #include <memory>
 #include <mutex>
@@ -134,14 +133,13 @@ VM::VM(const VmConfig& config) : config_(config) {
   hc.tenuring_threshold = config_.gc_config.tenuring_threshold;
   // Evacuation reserve (DESIGN.md §13): regions only GC-internal allocation
   // may consume, so evacuation under pressure always has a destination.
-  // Default: 2 regions once the heap is large enough that losing them to the
-  // mutator budget is noise; ROLP_GOV_EVAC_RESERVE overrides (0 disables).
+  // 2 regions once the heap is large enough that losing them to the mutator
+  // budget is noise.
   size_t total_regions = hc.heap_bytes / hc.region_bytes;
-  hc.evac_reserve_regions = static_cast<size_t>(
-      EnvInt64("ROLP_GOV_EVAC_RESERVE", total_regions >= 64 ? 2 : 0));
-  // Arena layer (DESIGN.md §15): ROLP_HEAP_ARENAS / ROLP_HEAP_THP /
-  // ROLP_NUMA / ROLP_HEAP_UNCOMMIT_MS. The default is one arena, no THP, no
-  // uncommit — identical to the pre-arena heap.
+  hc.evac_reserve_regions = total_regions >= 64 ? 2 : 0;
+  // Arena layer (DESIGN.md §15): ROLP_HEAP_ARENAS / ROLP_HEAP_UNCOMMIT_MS.
+  // The default is one arena and no uncommit — identical to the pre-arena
+  // heap.
   hc.arenas = HeapArenaOptions::FromEnv();
   heap_ = std::make_unique<Heap>(hc);
 
@@ -151,7 +149,10 @@ VM::VM(const VmConfig& config) : config_(config) {
   // Concurrent evacuation for the regional collectors (DESIGN.md §14): copy
   // the cset outside the pause behind a healing load barrier; off keeps the
   // classic fully-STW evacuation pause. CMS/ZGC ignore the knob.
-  gcfg.concurrent_evac = EnvBool("ROLP_CONCURRENT_EVAC", false);
+  // ROLP_CONCURRENT_EVAC can only switch it on: a caller's `true` stands.
+  if (EnvBool("ROLP_CONCURRENT_EVAC", false)) {
+    gcfg.concurrent_evac = true;
+  }
   switch (config_.gc) {
     case GcKind::kG1:
       gcfg.use_dynamic_gens = false;
@@ -167,18 +168,6 @@ VM::VM(const VmConfig& config) : config_(config) {
       RolpConfig rc = config_.rolp;
       rc.max_gc_workers = gcfg.num_workers > rc.max_gc_workers ? gcfg.num_workers
                                                                : rc.max_gc_workers;
-      // Allocation fast-lane knobs (DESIGN.md §9): ROLP_ALLOC_BUFFER=0 turns
-      // the per-thread sample buffers off; ROLP_ALLOC_BUFFER_SLOTS resizes
-      // them (0 also disables).
-      if (!EnvBool("ROLP_ALLOC_BUFFER", true)) {
-        rc.alloc_buffer_slots = 0;
-      } else {
-        rc.alloc_buffer_slots = static_cast<uint32_t>(
-            EnvInt64("ROLP_ALLOC_BUFFER_SLOTS", rc.alloc_buffer_slots));
-      }
-      // Off-pause lifetime inference (DESIGN.md §10): analysis runs on a
-      // background thread; decisions publish at the next safepoint.
-      rc.async_inference = EnvBool("ROLP_ASYNC_INFERENCE", true);
       profiler_ = std::make_unique<Profiler>(rc);
       profiler_->SetCallSiteControl(jit_.get());
       break;
@@ -257,27 +246,9 @@ VM::VM(const VmConfig& config) : config_(config) {
   RegisterMetrics();
   metrics_dump_path_ = EnvString("ROLP_METRICS_DUMP", "");
   old_table_dump_path_ = EnvString("ROLP_DUMP_OLD_TABLE", "");
-  int64_t interval_ms = EnvInt64("ROLP_METRICS_INTERVAL_MS", 0);
-  if (!metrics_dump_path_.empty() && interval_ms > 0) {
-    dump_thread_ = std::thread([this, interval_ms] {
-      std::unique_lock<std::mutex> lock(dump_mu_);
-      while (!dump_cv_.wait_for(lock, std::chrono::milliseconds(interval_ms),
-                                [this] { return dump_stop_; })) {
-        MetricsRegistry::Instance().WriteSnapshotFiles(metrics_dump_path_);
-      }
-    });
-  }
 }
 
 VM::~VM() {
-  if (dump_thread_.joinable()) {
-    {
-      std::lock_guard<std::mutex> guard(dump_mu_);
-      dump_stop_ = true;
-    }
-    dump_cv_.notify_all();
-    dump_thread_.join();
-  }
   WriteObservabilityDumps();
   // Threads must be detached by their owners before the VM dies.
   std::lock_guard<SpinLock> guard(threads_lock_);

@@ -5,11 +5,9 @@
 #ifndef SRC_RUNTIME_VM_H_
 #define SRC_RUNTIME_VM_H_
 
-#include <condition_variable>
 #include <memory>
 #include <mutex>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "src/gc/collector.h"
@@ -33,7 +31,13 @@ struct VmConfig {
   double young_fraction = 0.25;
   GcKind gc = GcKind::kG1;
   GcConfig gc_config;
-  RolpConfig rolp;
+  // Off-pause lifetime inference (DESIGN.md §10) is on for a VM; a Profiler
+  // built directly from RolpConfig keeps the synchronous default.
+  RolpConfig rolp = [] {
+    RolpConfig r;
+    r.async_inference = true;
+    return r;
+  }();
   JitConfig jit;
   PackageFilter filter;
   // Probability that a method entry simulates an OSR transition corrupting
@@ -128,10 +132,6 @@ class VM : public ProfilerHooks {
   std::string metrics_dump_path_;     // ROLP_METRICS_DUMP
   std::string old_table_dump_path_;   // ROLP_DUMP_OLD_TABLE
   ScopedMetrics metrics_publisher_;
-  std::mutex dump_mu_;
-  std::condition_variable dump_cv_;
-  bool dump_stop_ = false;
-  std::thread dump_thread_;  // periodic ROLP_METRICS_INTERVAL_MS dumper
 };
 
 }  // namespace rolp

@@ -2,23 +2,9 @@
 
 #include <algorithm>
 
-#include "src/util/env.h"
 #include "src/util/random.h"
 
 namespace rolp {
-
-AdmissionConfig AdmissionConfig::FromEnv() {
-  AdmissionConfig c;
-  c.queue_capacity =
-      static_cast<size_t>(EnvInt64("ROLP_SVC_QUEUE_CAP", static_cast<int64_t>(c.queue_capacity)));
-  if (c.queue_capacity == 0) {
-    c.queue_capacity = 1;
-  }
-  c.deadline_ms = static_cast<uint64_t>(
-      EnvInt64("ROLP_SLO_DEADLINE_MS", static_cast<int64_t>(c.deadline_ms)));
-  c.init_service_us = EnvDouble("ROLP_SVC_INIT_SERVICE_US", c.init_service_us);
-  return c;
-}
 
 AdmissionController::AdmissionController(const AdmissionConfig& config)
     : config_(config),
@@ -44,21 +30,6 @@ void AdmissionController::ObserveService(uint64_t service_ns) {
     next = 1;
   }
   ewma_service_ns_.store(next, std::memory_order_relaxed);
-}
-
-RetryPolicy RetryPolicy::FromEnv() {
-  RetryPolicy p;
-  p.max_attempts = static_cast<uint32_t>(
-      EnvInt64("ROLP_SVC_RETRY_MAX", static_cast<int64_t>(p.max_attempts)));
-  if (p.max_attempts == 0) {
-    p.max_attempts = 1;
-  }
-  p.base_backoff_ms = static_cast<uint64_t>(
-      EnvInt64("ROLP_SVC_RETRY_BASE_MS", static_cast<int64_t>(p.base_backoff_ms)));
-  p.max_backoff_ms = static_cast<uint64_t>(
-      EnvInt64("ROLP_SVC_RETRY_MAX_MS", static_cast<int64_t>(p.max_backoff_ms)));
-  p.jitter = EnvDouble("ROLP_SVC_RETRY_JITTER", p.jitter);
-  return p;
 }
 
 uint64_t RetryPolicy::BackoffNs(uint32_t attempt, uint64_t* rng_state) const {

@@ -23,10 +23,9 @@
 namespace rolp {
 
 struct AdmissionConfig {
-  size_t queue_capacity = 512;    // ROLP_SVC_QUEUE_CAP
-  uint64_t deadline_ms = 200;     // ROLP_SLO_DEADLINE_MS (per attempt)
+  size_t queue_capacity = 512;
+  uint64_t deadline_ms = 200;     // per attempt
   double init_service_us = 200.0; // EWMA seed before any observation
-  static AdmissionConfig FromEnv();
 };
 
 class AdmissionController {
@@ -56,11 +55,10 @@ class AdmissionController {
 };
 
 struct RetryPolicy {
-  uint32_t max_attempts = 3;      // ROLP_SVC_RETRY_MAX (1 = no retries)
-  uint64_t base_backoff_ms = 10;  // ROLP_SVC_RETRY_BASE_MS
-  uint64_t max_backoff_ms = 200;  // ROLP_SVC_RETRY_MAX_MS
+  uint32_t max_attempts = 3;      // 1 = no retries
+  uint64_t base_backoff_ms = 10;
+  uint64_t max_backoff_ms = 200;
   double jitter = 0.5;            // fraction of the backoff that is random
-  static RetryPolicy FromEnv();
 
   // Backoff before attempt (attempt+1), given `attempt` completed tries
   // (1-based): base * 2^(attempt-1), capped, with full-jitter on `jitter` of

@@ -575,19 +575,7 @@ ShardedServiceResult RunShards(const VmConfig& vm_config,
 
 ServiceOptions ServiceOptions::FromEnv() {
   ServiceOptions o;
-  o.workers = static_cast<int>(EnvInt64("ROLP_SERVICE_WORKERS", o.workers));
   o.rate_rps = EnvDouble("ROLP_SERVICE_RATE", o.rate_rps);
-  o.overload_factor = EnvDouble("ROLP_SERVICE_OVERLOAD_FACTOR", o.overload_factor);
-  o.calibrate_s = EnvDouble("ROLP_SERVICE_CALIBRATE_S", o.calibrate_s);
-  o.poisson_arrivals = EnvBool("ROLP_SERVICE_POISSON", o.poisson_arrivals);
-  o.write_fraction = EnvDouble("ROLP_SERVICE_WRITE_FRACTION", o.write_fraction);
-  o.drain_grace_s = EnvDouble("ROLP_SERVICE_DRAIN_S", o.drain_grace_s);
-  o.seed = static_cast<uint64_t>(EnvInt64("ROLP_SERVICE_SEED", 0x5eed));
-  o.retry_ratio = EnvDouble("ROLP_SVC_RETRY_RATIO", o.retry_ratio);
-  o.admission = AdmissionConfig::FromEnv();
-  o.retry = RetryPolicy::FromEnv();
-  o.slo = SloThresholds::FromEnv();
-  o.pacing = PacerOptions::FromEnv();
   return o;
 }
 

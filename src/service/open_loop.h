@@ -50,14 +50,14 @@ struct ServiceOptions {
   double drain_grace_s = 2.0;     // queue drain window after the last arrival
   uint64_t seed = 0x5eed;
   bool use_workload_filter = true;
-  AdmissionConfig admission;      // AdmissionConfig::FromEnv() by default
-  RetryPolicy retry;              // RetryPolicy::FromEnv() by default
-  double retry_ratio = 0.1;       // ROLP_SVC_RETRY_RATIO: retries per request
-  SloThresholds slo;              // SloThresholds::FromEnv() by default
-  PacerOptions pacing;            // PacerOptions::FromEnv() via FromEnv()
+  AdmissionConfig admission;
+  RetryPolicy retry;
+  double retry_ratio = 0.1;       // retries per request
+  SloThresholds slo;
+  PacerOptions pacing;
 
-  // Fills rate/admission/retry/slo knobs from the environment
-  // (ROLP_SERVICE_RATE, ROLP_SERVICE_OVERLOAD_FACTOR, ROLP_SVC_*, ROLP_SLO_*).
+  // The defaults, with the arrival rate from ROLP_SERVICE_RATE (0 or unset
+  // calibrates).
   static ServiceOptions FromEnv();
 };
 

@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <cinttypes>
 
-#include "src/util/env.h"
+#include "src/heap/region_manager.h"
 #include "src/util/random.h"
 
 namespace rolp {
@@ -31,10 +31,9 @@ int ConsistentHashRouter::ShardFor(uint64_t key) const {
 
 ShardedServiceOptions ShardedServiceOptions::FromEnv() {
   ShardedServiceOptions o;
-  int64_t shards = EnvInt64("ROLP_SHARDS", 1);
-  o.shards = shards > 0 ? static_cast<int>(shards) : 1;
+  o.shards = EnvShardCount();
   o.service = ServiceOptions::FromEnv();
-  o.uncommit_ms = EnvInt64("ROLP_HEAP_UNCOMMIT_MS", 0);
+  o.uncommit_ms = HeapArenaOptions::FromEnv().uncommit_ms;
   return o;
 }
 

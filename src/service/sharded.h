@@ -41,17 +41,17 @@ class ConsistentHashRouter {
 };
 
 struct ShardedServiceOptions {
-  int shards = 1;  // ROLP_SHARDS
+  int shards = 1;
   // Per-run knobs; `workers` is per shard, and the calibrated rate scales by
   // the shard count (each shard contributes capacity).
   ServiceOptions service;
   // After the last arrival drains, run one full collection per shard and
-  // watch process RSS settle for up to 2 x ROLP_HEAP_UNCOMMIT_MS (0 skips the
-  // watch). The observed drop lands in the verdict JSON.
+  // watch process RSS settle for up to 2 x uncommit_ms (0 skips the watch).
+  // The observed drop lands in the verdict JSON.
   int64_t uncommit_ms = 0;
 
-  // service from ServiceOptions::FromEnv, shards from ROLP_SHARDS, uncommit
-  // watch from ROLP_HEAP_UNCOMMIT_MS.
+  // service from ServiceOptions::FromEnv, shards from EnvShardCount, uncommit
+  // watch from the heap's HeapArenaOptions::FromEnv.
   static ShardedServiceOptions FromEnv();
 };
 

@@ -5,7 +5,6 @@
 
 #include "src/util/check.h"
 #include "src/util/clock.h"
-#include "src/util/env.h"
 
 namespace rolp {
 
@@ -30,16 +29,6 @@ const char* RequestOutcomeName(RequestOutcome outcome) {
       return "failed";
   }
   return "unknown";
-}
-
-SloThresholds SloThresholds::FromEnv() {
-  SloThresholds t;
-  t.p50_ms = EnvDouble("ROLP_SLO_P50_MS", t.p50_ms);
-  t.p95_ms = EnvDouble("ROLP_SLO_P95_MS", t.p95_ms);
-  t.p99_ms = EnvDouble("ROLP_SLO_P99_MS", t.p99_ms);
-  t.p999_ms = EnvDouble("ROLP_SLO_P999_MS", t.p999_ms);
-  t.max_error_rate = EnvDouble("ROLP_SLO_MAX_ERROR_RATE", t.max_error_rate);
-  return t;
 }
 
 SloReporter::SlotRing::SlotRing(size_t num_slots, uint64_t slot_ns_in, uint64_t epoch)

@@ -60,8 +60,6 @@ struct SloThresholds {
   // Rejected+shed+failed over total. Deliberate overload runs shed most of
   // the offered load by design, so the default only catches total collapse.
   double max_error_rate = 0.95;
-  // Reads ROLP_SLO_P50_MS / P95 / P99 / P999 and ROLP_SLO_MAX_ERROR_RATE.
-  static SloThresholds FromEnv();
 };
 
 class SloReporter {

@@ -15,8 +15,7 @@
 // Snapshots render as a human-readable text table and as JSON
 // ({"counters":{...},"gauges":{...},"histograms":{...}}). The VM wires
 // ROLP_METRICS_DUMP=<path>: a JSON snapshot (plus <path>.txt) written at VM
-// teardown and, when ROLP_METRICS_INTERVAL_MS > 0, periodically while the VM
-// runs. Registration handles are RAII (ScopedMetrics) so gauges never outlive
+// teardown. Registration handles are RAII (ScopedMetrics) so gauges never outlive
 // the objects their callbacks read.
 #ifndef SRC_UTIL_METRICS_REGISTRY_H_
 #define SRC_UTIL_METRICS_REGISTRY_H_

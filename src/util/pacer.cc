@@ -4,7 +4,6 @@
 #include <thread>
 
 #include "src/util/clock.h"
-#include "src/util/env.h"
 #include "src/util/spinlock.h"
 
 namespace rolp {
@@ -20,13 +19,6 @@ inline std::chrono::steady_clock::time_point ToTimePoint(uint64_t ns) {
 }
 
 }  // namespace
-
-PacerOptions PacerOptions::FromEnv() {
-  PacerOptions o;
-  o.spin_slack_ns = static_cast<uint64_t>(
-      EnvInt64("ROLP_PACER_SPIN_US", static_cast<int64_t>(o.spin_slack_ns / 1000)) * 1000);
-  return o;
-}
 
 uint64_t Pacer::WaitUntil(uint64_t deadline_ns, bool precise) {
   uint64_t now = NowNs();

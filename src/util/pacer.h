@@ -38,8 +38,6 @@ struct PacerOptions {
   // default Linux timer slack: sleeping closer than this to the deadline is
   // what the kernel cannot do accurately.
   uint64_t spin_slack_ns = 50 * 1000;
-  // Reads ROLP_PACER_SPIN_US.
-  static PacerOptions FromEnv();
 };
 
 class Pacer {

@@ -128,21 +128,6 @@ IngestOptions IngestOptions::FromEnv() {
   IngestOptions o;
   o.rate_eps = EnvDouble("ROLP_INGEST_RATE", o.rate_eps);
   o.events = static_cast<uint64_t>(EnvInt64("ROLP_INGEST_EVENTS", static_cast<int64_t>(o.events)));
-  o.warmup_fraction = EnvDouble("ROLP_INGEST_WARMUP", o.warmup_fraction);
-  o.ring_capacity = static_cast<size_t>(EnvInt64("ROLP_INGEST_RING", static_cast<int64_t>(o.ring_capacity)));
-  o.heap_mb = static_cast<size_t>(EnvInt64("ROLP_INGEST_HEAP_MB", static_cast<int64_t>(o.heap_mb)));
-  o.seed = static_cast<uint64_t>(EnvInt64("ROLP_INGEST_SEED", 0x5eed));
-  o.book.tick_bytes = static_cast<uint32_t>(EnvInt64("ROLP_INGEST_TICK_BYTES", o.book.tick_bytes));
-  o.book.symbols = static_cast<uint32_t>(EnvInt64("ROLP_INGEST_SYMBOLS", o.book.symbols));
-  std::string mode = EnvString("ROLP_INGEST_MODE", "auto");
-  if (mode == "threaded") {
-    o.mode = PipelineMode::kThreaded;
-  } else if (mode == "fused") {
-    o.mode = PipelineMode::kFused;
-  } else {
-    o.mode = PipelineMode::kAuto;
-  }
-  o.pacing = PacerOptions::FromEnv();
   return o;
 }
 
@@ -174,8 +159,7 @@ IngestResult RunIngest(ArmKind arm, const IngestOptions& options) {
       // services; a short CI ingest run only sees a handful of pauses, so the
       // profiler would never publish a pretenuring decision. Infer every
       // cycle so decisions land inside the warmup window.
-      cfg.rolp.inference_period = static_cast<uint32_t>(
-          EnvInt64("ROLP_INGEST_INFER_PERIOD", 1));
+      cfg.rolp.inference_period = 1;
     }
     vm = std::make_unique<VM>(cfg);
     RuntimeThread* setup = vm->AttachThread();

@@ -53,9 +53,8 @@ struct IngestOptions {
   BookOptions book;
   PacerOptions pacing;            // absolute-deadline by default
 
-  // Reads ROLP_INGEST_RATE, ROLP_INGEST_EVENTS, ROLP_INGEST_HEAP_MB,
-  // ROLP_INGEST_WARMUP, ROLP_INGEST_TICK_BYTES, ROLP_INGEST_SEED, and the
-  // pacer knob ROLP_PACER_SPIN_US.
+  // The defaults, with the schedule from ROLP_INGEST_RATE and
+  // ROLP_INGEST_EVENTS.
   static IngestOptions FromEnv();
 };
 

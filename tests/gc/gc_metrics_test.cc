@@ -2,7 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 
 #include "src/runtime/thread.h"
 #include "src/runtime/vm.h"
@@ -92,18 +91,6 @@ TEST(GcMetricsTest, RecentMeanUsesRetainedWindow) {
   EXPECT_DOUBLE_EQ(m.RecentMeanPauseNs(4), 200.0);
   // Asking for more than the window holds falls back to the whole window.
   EXPECT_DOUBLE_EQ(m.RecentMeanPauseNs(100), 200.0);
-}
-
-TEST(GcMetricsTest, CapComesFromEnvironment) {
-  ASSERT_EQ(setenv("ROLP_PAUSE_LOG_CAP", "3", 1), 0);
-  GcMetrics m;
-  ASSERT_EQ(unsetenv("ROLP_PAUSE_LOG_CAP"), 0);
-  EXPECT_EQ(m.pause_log_cap(), 3u);
-  for (uint64_t i = 0; i < 7; i++) {
-    m.RecordPause(Rec(i, 1));
-  }
-  EXPECT_EQ(m.Pauses().size(), 3u);
-  EXPECT_EQ(m.PauseCount(), 7u);
 }
 
 TEST(GcMetricsTest, ResetClearsRingAndAggregates) {

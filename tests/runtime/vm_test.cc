@@ -1,7 +1,14 @@
 #include "src/runtime/vm.h"
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
+#include <cstdlib>
+#include <string>
+#include <utility>
+#include <vector>
+
+#include "src/gc/regional_collector.h"
 #include "src/runtime/frame.h"
 #include "src/runtime/thread.h"
 
@@ -298,6 +305,71 @@ TEST_F(VmTest, RolpLearnsToPretenureEndToEnd) {
   Object* obj = thread_->AllocateInstance(site_, node_cls_);
   Region* r = vm_->heap().regions().RegionFor(obj);
   EXPECT_TRUE(r->kind() == RegionKind::kGen || r->kind() == RegionKind::kOld);
+}
+
+// Unsets every ROLP_* environment variable for its lifetime, so a VM built
+// inside sees the defaults whatever the caller's shell exports.
+class ScopedNoRolpEnvironment {
+ public:
+  ScopedNoRolpEnvironment() {
+    for (char** e = environ; *e != nullptr; e++) {
+      std::string entry(*e);
+      size_t eq = entry.find('=');
+      if (entry.rfind("ROLP_", 0) == 0 && eq != std::string::npos) {
+        saved_.emplace_back(entry.substr(0, eq), entry.substr(eq + 1));
+      }
+    }
+    for (const auto& [name, value] : saved_) {
+      unsetenv(name.c_str());
+    }
+  }
+  ~ScopedNoRolpEnvironment() {
+    for (const auto& [name, value] : saved_) {
+      setenv(name.c_str(), value.c_str(), 1);
+    }
+  }
+
+ private:
+  std::vector<std::pair<std::string, std::string>> saved_;
+};
+
+// The defaults the deleted environment readers used to supply now come from
+// the code alone: watchdog on at 5000 ms, an evacuation reserve of 2 regions
+// on a heap of 64 regions, one arena, 256 allocation-buffer slots and
+// off-pause inference.
+TEST_F(VmTest, DefaultsWithNoEnvironment) {
+  ScopedNoRolpEnvironment no_env;
+  VmConfig cfg = SmallVm(GcKind::kRolp);
+  cfg.heap_mb = 64;
+  VM vm(cfg);
+  ASSERT_NE(vm.collector().watchdog(), nullptr);
+  EXPECT_EQ(vm.collector().watchdog()->config().phase_deadline_ms, 5000u);
+  ASSERT_GE(vm.heap().regions().num_regions(), 64u);
+  EXPECT_EQ(vm.heap().regions().evac_reserve(), 2u);
+  EXPECT_EQ(vm.heap().regions().num_arenas(), 1u);
+  ASSERT_NE(vm.profiler(), nullptr);
+  EXPECT_EQ(vm.profiler()->config().alloc_buffer_slots, 256u);
+  EXPECT_TRUE(vm.profiler()->config().async_inference);
+}
+
+// A VmConfig setting wins over the environment: with ROLP_CONCURRENT_EVAC
+// unset, gc_config.concurrent_evac = true still evacuates concurrently, so
+// the cycle ends with a remap pause.
+TEST_F(VmTest, ConfigConcurrentEvacWithoutEnvironment) {
+  ScopedNoRolpEnvironment no_env;
+  VmConfig cfg = SmallVm(GcKind::kG1);
+  cfg.gc_config.concurrent_evac = true;
+  vm_ = std::make_unique<VM>(cfg);
+  thread_ = vm_->AttachThread();
+  EXPECT_TRUE(vm_->collector().config().concurrent_evac);
+  Churn(48 * 1024 * 1024);
+  static_cast<RegionalCollector&>(vm_->collector())
+      .WaitForConcurrentCycle(&thread_->gc_context());
+  uint64_t remaps = 0;
+  for (const PauseRecord& p : vm_->collector().metrics().Pauses()) {
+    remaps += p.kind == PauseKind::kRemap ? 1 : 0;
+  }
+  EXPECT_GE(remaps, 1u);
 }
 
 }  // namespace

@@ -28,13 +28,14 @@ for preset in "${PRESETS[@]}"; do
     # pool, lock-free class lookups, safepoint stops racing thread
     # registration, incremental-mark slices racing barrier pushes and ZGC
     # load-barrier copies, the evacuation driver (CMS scavenges, mutator heals
-    # in concurrent evacuation, watchdog stalls and cancellation), and the
-    # open-loop service engine (one generator feeding per-shard queues and
-    # waking their idle workers) show up only in rare interleavings: repeat
-    # those suites.
+    # in concurrent evacuation, watchdog stalls and cancellation), kvstore
+    # lookups reading the sealed runs that flushes and compactions publish
+    # without a lock, and the open-loop service engine (one generator feeding
+    # per-shard queues and waking their idle workers) show up only in rare
+    # interleavings: repeat those suites.
     echo "=== [$preset] dispatch, termination, safepoint, marking, evacuation and service races (20 repeats)"
     ctest --preset "$preset" \
-      -R 'WorkerPool|StealableQueue|WorkStealing|ClassRegistry|Safepoint|Marking|CmsCollector|ZgcCollector|ConcurrentEvac|Watchdog|OpenLoopService|ShardedService|ConsistentHashRouter|Pacer' \
+      -R 'WorkerPool|StealableQueue|WorkStealing|ClassRegistry|Safepoint|Marking|CmsCollector|ZgcCollector|ConcurrentEvac|Watchdog|KvStoreWorkload|OpenLoopService|ShardedService|ConsistentHashRouter|Pacer' \
       --repeat until-fail:20 --no-tests=error
   fi
 done

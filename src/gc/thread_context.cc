@@ -1,6 +1,7 @@
 #include "src/gc/thread_context.h"
 
 #include "src/util/check.h"
+#include "src/util/clock.h"
 
 namespace rolp {
 
@@ -48,8 +49,10 @@ bool SafepointManager::BeginOperation(MutatorContext* self) {
   }
   operation_active_ = true;
   requested_.store(true, std::memory_order_release);
+  uint64_t requested_ns = NowNs();
   // Wait until every other registered thread is parked.
   cv_stopped_.wait(lock, [&] { return parked_ + 1 >= threads_.size(); });
+  ttsp_ns_.Record(NowNs() - requested_ns);
   operations_.fetch_add(1, std::memory_order_relaxed);
   return true;
 }

@@ -18,6 +18,7 @@
 #include "src/heap/object.h"
 #include "src/heap/roots.h"
 #include "src/heap/tlab.h"
+#include "src/util/histogram.h"
 
 namespace rolp {
 
@@ -84,6 +85,13 @@ class SafepointManager {
   // Total safepoint stops performed (diagnostics).
   uint64_t OperationCount() const { return operations_.load(std::memory_order_relaxed); }
 
+  // Time-to-safepoint: per operation, the nanoseconds from the stop request
+  // to the last other thread parking. One sample per OperationCount().
+  LogHistogram TtspHistogramSnapshot() const {
+    std::lock_guard<std::mutex> guard(mu_);
+    return ttsp_ns_;
+  }
+
  private:
   void PollSlow(MutatorContext* ctx);
 
@@ -95,6 +103,7 @@ class SafepointManager {
   bool operation_active_ = false;
   size_t parked_ = 0;
   std::atomic<uint64_t> operations_{0};
+  LogHistogram ttsp_ns_;  // guarded by mu_
 };
 
 // The one root walk: while the world is stopped, calls fn(slot) on every

@@ -301,6 +301,8 @@ void VM::RegisterMetrics() {
   }
   m.Histogram("gc.pause_ns",
               [&gm] { return SnapshotLogHistogram(gm.PauseHistogramSnapshot()); });
+  m.Histogram("gc.ttsp_ns",
+              [this] { return SnapshotLogHistogram(safepoints_.TtspHistogramSnapshot()); });
 
   m.Gauge("vm.allocations", [this] { return static_cast<double>(total_allocations()); });
   m.Gauge("vm.osr_injected", [this] { return static_cast<double>(total_osr_injected()); });

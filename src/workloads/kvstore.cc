@@ -4,6 +4,7 @@
 #include <atomic>
 #include <cstring>
 #include <mutex>
+#include <vector>
 
 #include "src/runtime/frame.h"
 #include "src/util/check.h"
@@ -30,10 +31,28 @@ void SetRowKey(Object* row, uint64_t key) {
   std::atomic_ref<uint64_t>(*reinterpret_cast<uint64_t*>(row->payload() + kRowKey))
       .store(key, std::memory_order_relaxed);
 }
+
+// A sealed key array is a sorted run of distinct keys. Its unused tail repeats
+// the last key, so the whole array stays sorted and a lookup matches only keys
+// the run holds; an empty run holds only kNoKey (keys lie in [0, num_keys)).
+constexpr uint64_t kNoKey = ~uint64_t{0};
+
+void PadRun(uint64_t* keys, uint64_t written, uint64_t capacity) {
+  std::fill(keys + written, keys + capacity, written == 0 ? kNoKey : keys[written - 1]);
+}
+
+const uint64_t* RunKeys(Object* key_arr) {
+  return reinterpret_cast<const uint64_t*>(key_arr->DataArrayBytes());
+}
+
+uint64_t RunLength(Object* key_arr) { return key_arr->ArrayLength() / sizeof(uint64_t); }
 }  // namespace
 
 KvStoreWorkload::KvStoreWorkload(const KvStoreOptions& options)
-    : options_(options), keys_(options.num_keys, 0.99, options.seed), rng_(options.seed) {}
+    : options_(options),
+      keys_(options.num_keys, 0.99, options.seed),
+      rng_(options.seed),
+      flush_keys_((options.num_keys + 63) / 64) {}
 
 KvStoreWorkload::~KvStoreWorkload() = default;
 
@@ -184,27 +203,43 @@ void KvStoreWorkload::Get(RuntimeThread& t, uint64_t key) {
     }
     return;
   }
-  // Miss in the memtable: scan sealed sstables' key arrays (read-only).
+  // Miss in the memtable: look the key up in the sealed sstables.
+  if (SealedContains(t, key)) {
+    reads_hit_.fetch_add(1, std::memory_order_relaxed);
+  }
+}
+
+bool KvStoreWorkload::SealedContains(RuntimeThread& t, uint64_t key) {
+  // Newest run first. Compact slides the ring down in place ([a, b, c] ->
+  // [merged, c]); walking down reads each slot after the one above it, so a
+  // lookup sees every run that was sealed when it started.
   Object* tables = vm_->LoadGlobal(sstables_);
-  uint64_t n = sstable_count_.load(std::memory_order_relaxed);
-  for (uint64_t i = 0; i < n && i < tables->ArrayLength(); i++) {
+  uint64_t n = std::min<uint64_t>(sstable_count_.load(std::memory_order_acquire),
+                                  tables->ArrayLength());
+  for (uint64_t i = n; i-- > 0;) {
     Object* sst = t.LoadElem(tables, i);
-    if (sst == nullptr) {
-      continue;
-    }
-    Object* key_arr = t.LoadElem(sst, 0);
-    if (key_arr == nullptr) {
-      continue;
-    }
-    const uint64_t* keys = reinterpret_cast<const uint64_t*>(key_arr->DataArrayBytes());
-    uint64_t count = key_arr->ArrayLength() / sizeof(uint64_t);
-    for (uint64_t k = 0; k < count; k++) {
-      if (keys[k] == key) {
-        reads_hit_.fetch_add(1, std::memory_order_relaxed);
-        return;
-      }
+    Object* key_arr = sst == nullptr ? nullptr : t.LoadElem(sst, 0);
+    if (key_arr != nullptr &&
+        std::binary_search(RunKeys(key_arr), RunKeys(key_arr) + RunLength(key_arr), key)) {
+      return true;
     }
   }
+  return false;
+}
+
+std::vector<std::vector<uint64_t>> KvStoreWorkload::SealedRuns(RuntimeThread& t) {
+  std::vector<std::vector<uint64_t>> runs;
+  Object* tables = vm_->LoadGlobal(sstables_);
+  uint64_t n = std::min<uint64_t>(sstable_count_.load(std::memory_order_relaxed),
+                                  tables->ArrayLength());
+  for (uint64_t i = 0; i < n; i++) {
+    Object* sst = t.LoadElem(tables, i);
+    Object* key_arr = sst == nullptr ? nullptr : t.LoadElem(sst, 0);
+    if (key_arr != nullptr) {
+      runs.emplace_back(RunKeys(key_arr), RunKeys(key_arr) + RunLength(key_arr));
+    }
+  }
+  return runs;
 }
 
 void KvStoreWorkload::Flush(RuntimeThread& t) {
@@ -234,18 +269,27 @@ void KvStoreWorkload::Flush(RuntimeThread& t) {
   if (keys.get() == nullptr || blob.get() == nullptr) {
     return;
   }
+  // The run is sorted as it is built: each row marks its key in the keyspace
+  // bitmap, and the marked keys are emitted in order, one copy each.
   Object* mt = vm_->LoadGlobal(memtable_);
-  uint64_t* out_keys = reinterpret_cast<uint64_t*>(keys.get()->DataArrayBytes());
-  uint64_t written = 0;
-  uint64_t capacity = keys.get()->ArrayLength() / sizeof(uint64_t);
   for (uint64_t b = 0; b < buckets_; b++) {
-    Object* row = t.LoadElem(mt, b);
-    while (row != nullptr && written < capacity) {
-      out_keys[written++] = RowKey(row);
-      row = t.LoadField(row, kRowNext);
+    for (Object* row = t.LoadElem(mt, b); row != nullptr; row = t.LoadField(row, kRowNext)) {
+      uint64_t k = RowKey(row);
+      flush_keys_[k / 64] |= uint64_t{1} << (k % 64);
     }
     t.StoreElem(mt, b, nullptr);  // drop the chain: rows + values die
   }
+  uint64_t* out_keys = reinterpret_cast<uint64_t*>(keys.get()->DataArrayBytes());
+  uint64_t capacity = RunLength(keys.get());
+  uint64_t written = 0;
+  for (uint64_t w = 0; w < flush_keys_.size(); w++) {
+    // Rows Put after `rows` was read may not fit; they are dropped unsealed.
+    for (uint64_t bits = flush_keys_[w]; bits != 0 && written < capacity; bits &= bits - 1) {
+      out_keys[written++] = w * 64 + static_cast<uint64_t>(__builtin_ctzll(bits));
+    }
+    flush_keys_[w] = 0;
+  }
+  PadRun(out_keys, written, capacity);
   Local sst = t.NewLocal(t.AllocateRefArray(RuntimeThread::kNoSite, 2));
   if (sst.get() == nullptr) {
     return;
@@ -256,7 +300,7 @@ void KvStoreWorkload::Flush(RuntimeThread& t) {
   uint64_t idx = sstable_count_.load(std::memory_order_relaxed);
   if (idx < tables->ArrayLength()) {
     t.StoreElem(tables, idx, sst.get());
-    sstable_count_.store(idx + 1, std::memory_order_relaxed);
+    sstable_count_.store(idx + 1, std::memory_order_release);
   }
   memtable_rows_.store(0, std::memory_order_relaxed);
 }
@@ -274,9 +318,9 @@ void KvStoreWorkload::Compact(RuntimeThread& t) {
   uint64_t kb = t.LoadElem(b.get(), 0)->ArrayLength();
   uint64_t ba = t.LoadElem(a.get(), 1)->ArrayLength();
   uint64_t bb = t.LoadElem(b.get(), 1)->ArrayLength();
-  // Merging discards overwritten versions (the keyspace is finite), so
-  // merged runs are bounded — without this, compaction output would grow
-  // without limit, which no real LSM store does.
+  // The merge keeps one copy of each key, so merged runs are bounded by the
+  // finite keyspace without dropping any key: a union of two runs holds at
+  // most num_keys distinct keys and at most their two lengths together.
   uint64_t key_cap = options_.num_keys * sizeof(uint64_t);
   uint64_t merged_key_bytes = std::min(ka + kb, key_cap);
   uint64_t merged_blob_bytes = std::min(ba + bb, key_cap * 8);
@@ -290,14 +334,25 @@ void KvStoreWorkload::Compact(RuntimeThread& t) {
   if (merged_keys.get() == nullptr || merged_blob.get() == nullptr) {
     return;
   }
-  // Copy key material (the merge work).
+  // Merge the two sorted runs (the merge work), skipping repeated keys.
   tables = vm_->LoadGlobal(sstables_);
   Object* ak = t.LoadElem(t.LoadElem(tables, 0), 0);
   Object* bk = t.LoadElem(t.LoadElem(tables, 1), 0);
-  uint64_t take_a = std::min(static_cast<uint64_t>(ak->ArrayLength()), merged_key_bytes);
-  std::memcpy(merged_keys.get()->DataArrayBytes(), ak->DataArrayBytes(), take_a);
-  uint64_t take_b = std::min(static_cast<uint64_t>(bk->ArrayLength()), merged_key_bytes - take_a);
-  std::memcpy(merged_keys.get()->DataArrayBytes() + take_a, bk->DataArrayBytes(), take_b);
+  const uint64_t* ia = RunKeys(ak);
+  const uint64_t* ib = RunKeys(bk);
+  const uint64_t* ea = ia + RunLength(ak);
+  const uint64_t* eb = ib + RunLength(bk);
+  uint64_t* out_keys = reinterpret_cast<uint64_t*>(merged_keys.get()->DataArrayBytes());
+  uint64_t capacity = RunLength(merged_keys.get());
+  uint64_t written = 0;
+  while (ia != ea || ib != eb) {
+    uint64_t k = (ib == eb || (ia != ea && *ia <= *ib)) ? *ia++ : *ib++;
+    if (k != kNoKey && (written == 0 || out_keys[written - 1] != k)) {
+      ROLP_CHECK(written < capacity);
+      out_keys[written++] = k;
+    }
+  }
+  PadRun(out_keys, written, capacity);
   Local merged = t.NewLocal(t.AllocateRefArray(RuntimeThread::kNoSite, 2));
   if (merged.get() == nullptr) {
     return;
@@ -313,7 +368,7 @@ void KvStoreWorkload::Compact(RuntimeThread& t) {
   }
   if (n >= 2) {
     t.StoreElem(tables, n - 1, nullptr);
-    sstable_count_.store(n - 1, std::memory_order_relaxed);
+    sstable_count_.store(n - 1, std::memory_order_release);
   }
 }
 

@@ -3,7 +3,7 @@
 // Lifetime structure mirrors the real system (paper Table 1 workloads):
 //   * request/response scratch objects        -> die young
 //   * memtable rows and values                 -> middle-lived (die at flush)
-//   * sealed sstables (flushed immutable runs) -> long-lived, die at compaction
+//   * sealed sstables (sorted immutable runs)  -> long-lived, die at compaction
 //   * the store skeleton (bucket arrays)       -> immortal
 //
 // The put path reaches the row-allocation site through two call paths
@@ -12,6 +12,7 @@
 #define SRC_WORKLOADS_KVSTORE_H_
 
 #include <atomic>
+#include <vector>
 
 #include "src/util/spinlock.h"
 #include "src/workloads/workload.h"
@@ -48,6 +49,12 @@ class KvStoreWorkload : public Workload {
   uint64_t flushes() const { return flushes_.load(std::memory_order_relaxed); }
   uint64_t compactions() const { return compactions_.load(std::memory_order_relaxed); }
   uint64_t reads_hit() const { return reads_hit_.load(std::memory_order_relaxed); }
+  // Whether a sealed sstable holds `key`: the read path Get takes on a
+  // memtable miss. Safe beside a running Flush or Compact.
+  bool SealedContains(RuntimeThread& t, uint64_t key);
+  // Copies of the sealed key arrays, oldest first. Call only while no other
+  // thread flushes.
+  std::vector<std::vector<uint64_t>> SealedRuns(RuntimeThread& t);
 
  private:
   void Put(RuntimeThread& t, uint64_t key);
@@ -87,6 +94,9 @@ class KvStoreWorkload : public Workload {
   SpinLock maintenance_lock_;  // serializes flush/compact
   ZipfianGenerator keys_;
   Random rng_;
+  // Flush's off-heap keyspace bitmap (num_keys bits, all clear between
+  // flushes), guarded by maintenance_lock_.
+  std::vector<uint64_t> flush_keys_;
 
   std::atomic<uint64_t> flushes_{0};
   std::atomic<uint64_t> compactions_{0};

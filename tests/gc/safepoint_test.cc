@@ -95,6 +95,40 @@ TEST(SafepointTest, ConcurrentBeginOnlyOneWins) {
   EXPECT_EQ(wins.load() + losses.load(), kThreads);
 }
 
+TEST(SafepointTest, RecordsOneTtspSamplePerOperation) {
+  // Every thread polls and also races to begin operations; each operation
+  // that wins records one time-to-safepoint sample, and a lost race none.
+  SafepointManager sp;
+  constexpr int kThreads = 3;
+  constexpr int kAttempts = 50;
+  std::atomic<int> wins{0};
+  std::atomic<int> ready{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; t++) {
+    threads.emplace_back([&] {
+      MutatorContext ctx;
+      sp.RegisterThread(&ctx);
+      ready.fetch_add(1);
+      while (ready.load() < kThreads) {
+      }
+      for (int i = 0; i < kAttempts; i++) {
+        if (sp.BeginOperation(&ctx)) {
+          wins.fetch_add(1);
+          sp.EndOperation(&ctx);
+        }
+        sp.Poll(&ctx);
+      }
+      sp.UnregisterThread(&ctx);
+    });
+  }
+  for (auto& t : threads) {
+    t.join();
+  }
+  EXPECT_EQ(sp.OperationCount(), static_cast<uint64_t>(wins.load()));
+  EXPECT_GE(sp.OperationCount(), static_cast<uint64_t>(kAttempts));
+  EXPECT_EQ(sp.TtspHistogramSnapshot().Count(), sp.OperationCount());
+}
+
 TEST(SafepointTest, ScopedSafeRegionAllowsOperation) {
   SafepointManager sp;
   MutatorContext main_ctx;

@@ -11,6 +11,7 @@
 #include "src/gc/regional_collector.h"
 #include "src/runtime/frame.h"
 #include "src/runtime/thread.h"
+#include "src/util/metrics_registry.h"
 
 namespace rolp {
 namespace {
@@ -263,6 +264,25 @@ TEST_F(VmTest, LocalsKeepObjectsAliveAcrossGc) {
   Churn(24 * 1024 * 1024);
   ASSERT_NE(h.get(), nullptr);
   EXPECT_EQ(*reinterpret_cast<uint64_t*>(h.get()->payload() + 8), 0xCAFEu);
+}
+
+// The registry's time-to-safepoint histogram holds one sample per stop.
+TEST_F(VmTest, PublishesOneTtspSamplePerSafepoint) {
+  VmConfig cfg = SmallVm(GcKind::kG1);
+  cfg.metrics_prefix = "ttsp_test.";
+  vm_ = std::make_unique<VM>(cfg);
+  thread_ = vm_->AttachThread();
+  Churn(24 * 1024 * 1024);
+  uint64_t ops = vm_->safepoints().OperationCount();
+  ASSERT_GT(ops, 0u);
+  bool found = false;
+  for (const auto& [name, hist] : MetricsRegistry::Instance().Collect().histograms) {
+    if (name == "ttsp_test.gc.ttsp_ns") {
+      found = true;
+      EXPECT_EQ(hist.count, ops);
+    }
+  }
+  EXPECT_TRUE(found);
 }
 
 TEST_F(VmTest, RolpLearnsToPretenureEndToEnd) {

@@ -1,5 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
+#include <set>
+#include <thread>
+#include <vector>
+
 #include "src/workloads/dacapo.h"
 #include "src/workloads/driver.h"
 #include "src/workloads/graph.h"
@@ -77,6 +83,96 @@ TEST(KvStoreWorkloadTest, ConcurrentFlushDoesNotDeadlockWithGc) {
   RunResult r = RunWorkload(TestVm(GcKind::kG1, 48), w, opt);
   EXPECT_GT(r.ops, 100u);
   EXPECT_GT(w.flushes(), 4u);
+}
+
+// Model check of the sealed runs, count-driven on one thread. With every op
+// a Put, op i writes the generator's i-th key, so a replica generator names
+// the keys each flush seals.
+TEST(KvStoreWorkloadTest, SealedRunsAreSortedAndHoldEveryFlushedKey) {
+  KvStoreOptions kv;
+  kv.num_keys = 512;
+  kv.write_fraction = 1.0;
+  kv.memtable_flush_rows = 300;
+  kv.max_sstables = 3;
+  KvStoreWorkload w(kv);
+  VM vm(TestVm(GcKind::kG1));
+  RuntimeThread* t = vm.AttachThread();
+  w.Setup(vm, *t);
+
+  ZipfianGenerator replica(kv.num_keys, 0.99, kv.seed);
+  std::set<uint64_t> flushed;
+  std::vector<uint64_t> memtable;
+  for (uint64_t op = 0; op < 8 * kv.memtable_flush_rows + 150; op++) {
+    memtable.push_back(replica.Next());
+    uint64_t flushes = w.flushes();
+    w.Op(*t, op);
+    if (w.flushes() != flushes) {
+      flushed.insert(memtable.begin(), memtable.end());
+      memtable.clear();
+    }
+  }
+  ASSERT_GE(w.flushes(), 3u);
+  ASSERT_GE(w.compactions(), 2u);
+  ASSERT_FALSE(memtable.empty());  // unflushed puts stay out of the runs
+
+  std::set<uint64_t> sealed;
+  for (const std::vector<uint64_t>& run : w.SealedRuns(*t)) {
+    EXPECT_TRUE(std::is_sorted(run.begin(), run.end()));
+    sealed.insert(run.begin(), run.end());
+  }
+  EXPECT_EQ(sealed, flushed);
+  for (uint64_t key = 0; key < kv.num_keys; key++) {
+    EXPECT_EQ(w.SealedContains(*t, key), flushed.count(key) == 1) << "key " << key;
+  }
+  w.Teardown();
+  vm.DetachThread(t);
+}
+
+// One mutator Puts, flushing and compacting constantly, while another looks
+// keys up in the sealed runs that those publish without a lock. A key once
+// found stays found: merges keep every key, and the lookup's walk never
+// misses a run that Compact's in-place slide moves.
+TEST(KvStoreWorkloadTest, SealedLookupsRaceFlushAndCompact) {
+  KvStoreOptions kv;
+  kv.num_keys = 2048;
+  kv.write_fraction = 1.0;
+  kv.memtable_flush_rows = 64;
+  kv.max_sstables = 2;
+  KvStoreWorkload w(kv);
+  VM vm(TestVm(GcKind::kG1, 48));
+  {
+    RuntimeThread* t = vm.AttachThread();
+    w.Setup(vm, *t);
+    vm.DetachThread(t);
+  }
+  std::atomic<bool> done{false};
+  std::thread writer([&] {
+    RuntimeThread* t = vm.AttachThread();
+    for (uint64_t op = 0; op < 20000; op++) {
+      w.Op(*t, op);
+    }
+    done.store(true);
+    vm.DetachThread(t);
+  });
+  RuntimeThread* t = vm.AttachThread();
+  Random rng(7);
+  std::vector<bool> seen(kv.num_keys, false);
+  uint64_t lookups = 0;
+  uint64_t lost = 0;
+  while (!done.load()) {
+    uint64_t key = rng.NextBounded(kv.num_keys);
+    bool hit = w.SealedContains(*t, key);
+    lost += seen[key] && !hit ? 1 : 0;
+    seen[key] = seen[key] || hit;
+    lookups++;
+    t->Poll();
+  }
+  writer.join();
+  EXPECT_EQ(lost, 0u);
+  EXPECT_GT(lookups, 0u);
+  EXPECT_GE(w.compactions(), 10u);
+  w.Teardown();
+  vm.DetachThread(t);
 }
 
 TEST(KvStoreWorkloadTest, RolpProfilesTheDataPath) {
